@@ -28,13 +28,14 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src")
 
 # "why" is the layer the workload is meant to load; the traced run checks
-# it against the self-time shares. "sink" and "sink-fine" are runnable but
-# not in BENCHMARK.json (see workloads.json for why).
+# it against the self-time shares. "scaled": its end-to-end times are
+# scaled to the reference host speed (hostspeed.py). "sink" and
+# "sink-fine" are runnable but not in BENCHMARK.json (see workloads.json).
 WORKLOADS = {
-    "sink": {"op": "plan", "why": "optimizer"},
-    "sink-fine": {"op": "plan", "why": "distance_field"},
-    "partition": {"op": "plan", "why": "grid_planner"},
-    "remask": {"op": "masks", "why": "projection"},
+    "sink": {"op": "plan", "why": "optimizer", "scaled": False},
+    "sink-fine": {"op": "plan", "why": "distance_field", "scaled": False},
+    "partition": {"op": "plan", "why": "grid_planner", "scaled": True},
+    "remask": {"op": "masks", "why": "projection", "scaled": False},
 }
 N_INPUTS = 8  # inputs per run, cycled by the ops; averages out the jitter
 JITTER_VOXELS = 2

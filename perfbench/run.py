@@ -4,11 +4,15 @@
 
 Set-up writes the workload's inputs from the seed (``inputs.py``, run as a
 fresh process several times; ``setup_s`` is the median). The run then
-times ops in-process for ``--seconds``, every third op replaced by the
+times ops in-process for ``--seconds``, every second op replaced by the
 same op as a fresh ``python -m voxpick.cli`` process. Every op's output is
-checked. With ``--trace 1`` the run instead alternates untraced and traced
-in-process ops on the same input and reports per-layer metrics from the
-traced ones (see ``spans.py``).
+checked. On ``partition`` the end-to-end times (ops, CLI ops, set-up) are
+seconds at the reference host speed: each wall time is scaled by a
+reference computation timed right before and right after it
+(``hostspeed.py``); the wall times are printed too. With ``--trace 1`` the
+run instead alternates untraced and traced in-process ops on the same
+input and reports per-layer metrics, in wall time, from the traced ones
+(see ``spans.py``).
 
 The last stdout line is one JSON object: correct, attempted, failed and
 metrics (end-to-end with ``--trace 0``, per-layer with ``--trace 1``).
@@ -34,12 +38,14 @@ import time
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
 import inputs  # noqa: E402  (sets the BLAS/OpenMP thread caps before numpy loads)
+import hostspeed  # noqa: E402
 import numpy  # noqa: E402
 import spans  # noqa: E402
 import stats  # noqa: E402
 
-SETUP_REPEATS = 3
-CLI_EVERY = 3  # every third op of an untraced run is a fresh CLI process
+SETUP_REPEATS = 3  # at least, and until SETUP_MIN_S of set-up is timed
+SETUP_MIN_S = 3.0
+CLI_EVERY = 2  # every second op of an untraced run is a fresh CLI process
 MIN_SAMPLES = 3
 CHILD_TIMEOUT_S = 60
 WORK = os.path.join(inputs.ROOT, ".perfbench_work")
@@ -70,10 +76,13 @@ def fresh_dir(path: str) -> str:
     return path
 
 
-def run_setup(workload: str, seed: int, out: str, repeats: int):
-    """Time ``repeats`` fresh set-up processes; return their times."""
-    times = []
-    for _ in range(repeats):
+def run_setup(workload: str, seed: int, out: str, repeats: int, min_s: float,
+              gauge: hostspeed.Gauge):
+    """Time at least ``repeats`` fresh set-up processes, and more until
+    their wall times add up to ``min_s``; return the wall times and the
+    times at the reference speed."""
+    times, scaled = [], []
+    while len(times) < repeats or sum(times) < min_s:
         fresh_dir(out)
         cmd = [sys.executable, os.path.join(os.path.dirname(__file__), "inputs.py"),
                "--workload", workload, "--seed", str(seed), "--out", out]
@@ -81,9 +90,10 @@ def run_setup(workload: str, seed: int, out: str, repeats: int):
         proc = subprocess.run(cmd, env=child_env(), stdout=subprocess.DEVNULL,
                               stderr=subprocess.PIPE, timeout=CHILD_TIMEOUT_S)
         times.append(time.perf_counter() - t0)
+        scaled.append(gauge.scale(times[-1]))
         if proc.returncode != 0:
             raise RuntimeError(f"set-up failed: {proc.stderr.decode(errors='replace')}")
-    return times
+    return times, scaled
 
 
 class Workload:
@@ -235,27 +245,31 @@ def cli_op(wl: Workload, k: int, out: str, tally: Tally, op_id):
     return dt
 
 
-def measure(wl: Workload, seconds: float, tally: Tally):
-    """Untraced closed loop: (in-process op times, CLI op times)."""
+def measure(wl: Workload, seconds: float, tally: Tally, gauge: hostspeed.Gauge):
+    """Untraced closed loop: {"op": [...], "cli": [...]} of wall times and
+    the same of times at the reference speed."""
     op_out = os.path.join(wl.work, "op")
     cli_out = os.path.join(wl.work, "cli")
-    ops, clis = [], []
+    wall = {"op": [], "cli": []}
+    scaled = {"op": [], "cli": []}
     n_in = n_cli = 0
     deadline = time.perf_counter() + seconds
     i = 0
     while time.perf_counter() < deadline or n_in < MIN_SAMPLES or n_cli < MIN_SAMPLES:
         if i % CLI_EVERY == CLI_EVERY - 1:
+            kind = "cli"
             dt = cli_op(wl, n_cli % len(wl.paths), cli_out, tally, f"cli{n_cli}")
             n_cli += 1
-            if dt is not None:
-                clis.append(dt)
         else:
+            kind = "op"
             n_in += 1  # the warm-up op took input 0
             dt = timed_op(wl, n_in % len(wl.paths), op_out, tally, f"op{n_in}")
-            if dt is not None:
-                ops.append(dt)
+        ref_dt = gauge.scale(dt if dt is not None else 0.0)
+        if dt is not None:
+            wall[kind].append(dt)
+            scaled[kind].append(ref_dt)
         i += 1
-    return ops, clis
+    return wall, scaled
 
 
 def measure_traced(wl: Workload, seconds: float, tally: Tally, rec: spans.Recorder):
@@ -292,8 +306,9 @@ def metric(value, unit):
     return {"value": value, "unit": unit}
 
 
-def end_to_end(wl: Workload, seconds: float, tally: Tally, setup_times):
-    ops, clis = measure(wl, seconds, tally)
+def end_to_end(wl: Workload, seconds: float, tally: Tally, setup, gauge: hostspeed.Gauge):
+    wall, scaled = measure(wl, seconds, tally, gauge)
+    ops, clis = scaled["op"], scaled["cli"]
     if not ops or not clis:
         return None
     objective, clearance = wl.quality_figures()
@@ -301,14 +316,21 @@ def end_to_end(wl: Workload, seconds: float, tally: Tally, setup_times):
         "ops_per_s": metric(len(ops) / sum(ops), "1/s"),
         "op_s.p50": metric(statistics.median(ops), "s"),
         "cli_s.p50": metric(statistics.median(clis), "s"),
-        "setup_s": metric(statistics.median(setup_times), "s"),
+        "setup_s": metric(statistics.median(setup[1]), "s"),
         "peak_rss_mb": metric(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0, "MB"),
         "objective_after": metric(objective, "1"),
         "clearance_min_m": metric(clearance, "m"),
     }
-    print(f"  set-up times (s): {' '.join(f'{t:.3f}' for t in setup_times)}")
-    print(f"  in-process op times (s): {' '.join(f'{t:.3f}' for t in ops)}")
-    print(f"  CLI op times (s): {' '.join(f'{t:.3f}' for t in clis)}")
+    for label, times in (("set-up", setup[0]), ("in-process op", wall["op"]),
+                         ("CLI op", wall["cli"])):
+        print(f"  {label} wall times (s): {' '.join(f'{t:.3f}' for t in times)}")
+    print(f"  wall medians (s): op {statistics.median(wall['op']):.4g}, "
+          f"CLI op {statistics.median(wall['cli']):.4g}, set-up {statistics.median(setup[0]):.4g}")
+    ref = gauge.reference
+    print(f"  host speed: reference {hostspeed.NOMINAL_S:g} s nominal, median "
+          f"{statistics.median(ref):.4g} s (min {min(ref):.4g}, max {max(ref):.4g}) over "
+          f"{len(ref)} timings; times below are at the nominal speed" if ref else
+          "  times below are wall times")
     for name, m in metrics.items():
         print(f"  {name:<18} {m['value']:.6g} {m['unit']}")
     t = stats.tail(ops)
@@ -364,9 +386,10 @@ def main(argv=None) -> int:
         return 2
     work = os.path.join(WORK, args.workload)
     in_dir = os.path.join(work, "inputs")
+    gauge = hostspeed.Gauge(inputs.WORKLOADS[args.workload]["scaled"] and not args.trace)
     try:
-        setup_times = run_setup(args.workload, args.seed, in_dir,
-                                1 if args.trace else SETUP_REPEATS)
+        setup = run_setup(args.workload, args.seed, in_dir, 1 if args.trace else SETUP_REPEATS,
+                          0.0 if args.trace else SETUP_MIN_S, gauge)
     except (RuntimeError, subprocess.TimeoutExpired) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
@@ -378,7 +401,7 @@ def main(argv=None) -> int:
     print(f"workload {args.workload} seed {args.seed}: {len(paths)} inputs; python "
           f"{sys.version.split()[0]}, numpy {numpy.__version__}, {os.cpu_count()} cpus")
     if args.trace == 0:
-        metrics = end_to_end(wl, args.seconds, tally, setup_times)
+        metrics = end_to_end(wl, args.seconds, tally, setup, gauge)
     else:
         metrics = per_layer(wl, args.seconds, tally)
     if metrics is None:

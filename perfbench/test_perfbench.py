@@ -10,6 +10,7 @@ import pytest
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
+import hostspeed  # noqa: E402
 import inputs  # noqa: E402
 import spans  # noqa: E402
 import stats  # noqa: E402
@@ -126,3 +127,23 @@ def test_jitter_is_seeded_whole_voxels_and_leaves_effector():
         assert moved[2] == 0.0
     seeds = {tuple(inputs.jittered(base, s, 0)["scene"]["place_target_m"]) for s in range(20)}
     assert len(seeds) > 1
+
+
+def test_gauge_scales_by_mean_of_reference_before_and_after():
+    probes = iter([9.0, 0.1, 0.2, 0.1, 0.05])  # the first call is a warm-up
+    g = hostspeed.Gauge(True, probe=lambda: next(probes))
+    nominal = hostspeed.NOMINAL_S
+    assert g.scale(3.0) == pytest.approx(3.0 * nominal / 0.15)
+    assert g.scale(3.0) == pytest.approx(3.0 * nominal / 0.15)
+    assert g.scale(1.0) == pytest.approx(1.0 * nominal / 0.075)
+    assert g.reference == [0.1, 0.2, 0.1, 0.05]
+
+
+def test_disabled_gauge_keeps_wall_time_and_probes_nothing():
+    g = hostspeed.Gauge(False, probe=lambda: pytest.fail("probed"))
+    assert g.scale(3.0) == 3.0
+    assert g.reference == []
+
+
+def test_reference_search_reaches_every_cell():
+    assert hostspeed.search_kernel(5) == 125
