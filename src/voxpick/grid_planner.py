@@ -5,20 +5,27 @@ admissible straight-line heuristic. Obstacles are inflated by an integer
 Chebyshev clearance before search so initial paths keep away from
 surfaces; if inflation swallows a keypoint the search retries without
 inflation and flags it.
+
+Layout and tie-break contract: the search runs on the free mask padded by
+one blocked voxel on every side and flattened in C order, so a cell is one
+int and the blocked border replaces bounds checks. Open-set ties break on
+lower f, then lower h, then lexicographic cell order (which is flat-index
+order), and a cell keeps the first parent that reached it at its lowest g,
+so equal-cost paths come out the same on every run.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from math import sqrt
-from typing import Optional, Tuple
+from math import inf, sqrt
+from typing import Tuple
 
 import numpy as np
 
 from .errors import GoalOccupied, NoPath, StartOccupied, VoxpickError, tag_stage
-from .scene import OccupancyGrid, SceneSpec
+from .scene import OccupancyGrid
 
 
 class Stage(Enum):
@@ -98,59 +105,74 @@ def dilate_chebyshev(occ: np.ndarray, clearance: int) -> np.ndarray:
     return out
 
 
-def _reconstruct(came_from, cell):
-    path = [cell]
-    while cell in came_from:
-        cell = came_from[cell]
-        path.append(cell)
-    path.reverse()
-    return path
-
-
 def _astar_cells(free: np.ndarray, start, goal):
-    """Deterministic A* over the free mask; returns the cell path.
-
-    Tie-breaking on the open heap: lower f, then lower h, then
-    lexicographic cell order.
+    """Deterministic A* over the free mask between two free cells; returns
+    the cell path and its cost, or ``(None, inf)``. Layout and tie-breaks as
+    in the module docstring: cell (x, y, z) is the int
+    ``(x+1)*sx + (y+1)*pz + (z+1)``.
     """
-    dims = free.shape
-    goal_v = np.asarray(goal, dtype=np.float64)
-
-    def h(cell):
-        d = goal_v - cell
-        return sqrt(d[0] * d[0] + d[1] * d[1] + d[2] * d[2])
-
     start = tuple(int(v) for v in start)
     goal = tuple(int(v) for v in goal)
     if start == goal:
         return [start], 0.0
 
-    g = {start: 0.0}
-    came_from = {}
-    h0 = h(np.asarray(start))
-    heap = [(h0, h0, start)]
-    closed = set()
+    nx, ny, nz = free.shape
+    pz = nz + 2  # flat stride of y
+    sx = (ny + 2) * pz  # flat stride of x
+    padded = np.zeros((nx + 2, ny + 2, nz + 2), dtype=bool)
+    padded[1:-1, 1:-1, 1:-1] = free
+    open_ = bytearray(padded.tobytes())  # 1 while a cell is free and not closed
+    moves = tuple(
+        (dx * sx + dy * pz + dz, dx, dy, dz, step) for (dx, dy, dz), step in _NEIGHBORS
+    )
+    gx, gy, gz = goal[0] + 1, goal[1] + 1, goal[2] + 1
+    s = (start[0] + 1) * sx + (start[1] + 1) * pz + start[2] + 1
+    t = gx * sx + gy * pz + gz
+    g = [inf] * len(open_)
+    g[s] = 0.0
+    came_from = [0] * len(open_)
+
+    # h from integer differences: the squared distance is exact, so it
+    # equals the float64 Euclidean distance bit for bit
+    ex, ey, ez = gx - start[0] - 1, gy - start[1] - 1, gz - start[2] - 1
+    h0 = sqrt(ex * ex + ey * ey + ez * ez)
+    heap = [(h0, h0, s)]
+    push = heapq.heappush
+    pop = heapq.heappop
     while heap:
-        f, _, cell = heapq.heappop(heap)
-        if cell in closed:
+        i = pop(heap)[2]
+        if not open_[i]:
             continue
-        if cell == goal:
-            return _reconstruct(came_from, cell), g[cell]
-        closed.add(cell)
-        gc = g[cell]
-        for (dx, dy, dz), step in _NEIGHBORS:
-            nb = (cell[0] + dx, cell[1] + dy, cell[2] + dz)
-            if not (0 <= nb[0] < dims[0] and 0 <= nb[1] < dims[1] and 0 <= nb[2] < dims[2]):
-                continue
-            if not free[nb] or nb in closed:
-                continue
-            ng = gc + step
-            if ng < g.get(nb, np.inf):
-                g[nb] = ng
-                came_from[nb] = cell
-                hn = h(np.asarray(nb))
-                heapq.heappush(heap, (ng + hn, hn, nb))
-    return None, np.inf
+        if i == t:
+            break
+        open_[i] = 0
+        gc = g[i]
+        x, r = divmod(i, sx)
+        y, z = divmod(r, pz)
+        ex, ey, ez = gx - x, gy - y, gz - z
+        for off, dx, dy, dz, step in moves:
+            j = i + off
+            if open_[j]:
+                ng = gc + step
+                if ng < g[j]:
+                    g[j] = ng
+                    came_from[j] = i
+                    a, b, c = ex - dx, ey - dy, ez - dz
+                    hn = sqrt(a * a + b * b + c * c)
+                    push(heap, (ng + hn, hn, j))
+    else:
+        return None, inf
+
+    path = [t]
+    while i != s:
+        i = came_from[i]
+        path.append(i)
+    cells = []
+    for i in reversed(path):
+        x, r = divmod(i, sx)
+        y, z = divmod(r, pz)
+        cells.append((x - 1, y - 1, z - 1))
+    return cells, g[t]
 
 
 def plan_segment(

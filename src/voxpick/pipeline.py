@@ -8,6 +8,7 @@ bundle is a plain directory with a manifest so runs diff cleanly.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
@@ -60,6 +61,12 @@ class Scenario:
             raise ParseError(f"total_frames must be >= 6, got {self.total_frames}")
         if self.spec is None:
             raise ParseError("scenario needs a scene spec (keypoints)")
+        for name, r in (
+            ("actors.object_radius_m", self.object_radius),
+            ("actors.gripper_radius_m", self.gripper_radius),
+        ):
+            if not (math.isfinite(r) and r > 0):
+                raise ParseError(f"{name} must be positive and finite, got {r}")
         lo = np.asarray(self.bounds.min_corner)
         hi = lo + np.asarray(self.dims) * self.bounds.voxel_size
         for name, p in (
@@ -140,6 +147,12 @@ def actor_frames(
     return obj, gripper
 
 
+def _invariant(ok: bool, stage: str, message: str) -> None:
+    """A runtime invariant that, unlike ``assert``, survives ``python -O``."""
+    if not ok:
+        raise tag_stage(VoxpickError(message), stage)
+
+
 def run(scenario: Scenario) -> RunBundle:
     """Execute the full planning chain; deterministic for a fixed
     scenario. Stage failures raise errors tagged with the failing stage."""
@@ -161,12 +174,21 @@ def run(scenario: Scenario) -> RunBundle:
 
     optimized, report = optimize_trajectory(initial, fld, scenario.config, keep_trace=True)
     for sub0, sub1 in zip(initial.subs, optimized.subs):
-        assert np.array_equal(sub0.points[0], sub1.points[0]), "endpoint drift"
-        assert np.array_equal(sub0.points[-1], sub1.points[-1]), "endpoint drift"
+        for end in (0, -1):
+            _invariant(
+                np.array_equal(sub0.points[end], sub1.points[end]),
+                "optimize",
+                f"{sub0.stage.value}: endpoint drift",
+            )
 
     timed_initial = reallocate(initial, scenario.total_frames, scenario.profile)
     timed_optimized = reallocate(optimized, scenario.total_frames, scenario.profile)
-    assert timed_initial.n_frames == timed_optimized.n_frames == scenario.total_frames
+    _invariant(
+        timed_initial.n_frames == timed_optimized.n_frames == scenario.total_frames,
+        "time-alloc",
+        f"frame counts {timed_initial.n_frames}/{timed_optimized.n_frames} "
+        f"differ from total_frames {scenario.total_frames}",
+    )
 
     grasp_point = spec.grasp_point()
     place = np.asarray(spec.place_target, dtype=np.float64)
@@ -177,7 +199,11 @@ def run(scenario: Scenario) -> RunBundle:
         masks = render_guidance_masks(timed_optimized, obj_actor, grip_actor, scenario.camera)
     except VoxpickError as e:
         raise tag_stage(e, "render")
-    assert len(masks) == scenario.total_frames
+    _invariant(
+        len(masks) == scenario.total_frames,
+        "render",
+        f"{len(masks)} masks for {scenario.total_frames} frames",
+    )
 
     return RunBundle(
         scenario=scenario,
@@ -284,6 +310,13 @@ def scenario_to_dict(s: Scenario) -> dict:
     return d
 
 
+def _non_negative_int(value, name: str) -> int:
+    # bool is an int subclass, and int() would truncate 2.7 to 2
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise ParseError(f"{name} must be a non-negative integer, got {value!r}")
+    return value
+
+
 def scenario_from_dict(d: dict) -> Scenario:
     try:
         grid = d["grid"]
@@ -297,7 +330,9 @@ def scenario_from_dict(d: dict) -> Scenario:
             d_safe=float(planner.get("d_safe_m", 2.0 * bounds.voxel_size)),
             learning_rate=float(planner.get("learning_rate", 0.1)),
             iterations=int(planner.get("iterations", 200)),
-            clearance_voxels=int(planner.get("clearance_voxels", 1)),
+            clearance_voxels=_non_negative_int(
+                planner.get("clearance_voxels", 1), "planner.clearance_voxels"
+            ),
             eps_curv=float(planner.get("eps_curv", 1e-6)),
         )
         spec = None

@@ -2,10 +2,13 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import voxpick
 from voxpick.cli import main, report_tables
 from voxpick.pipeline import load_scenario, scenario_to_dict
 from voxpick.projection import read_pgm
@@ -108,16 +111,73 @@ def test_masks_rerender_matches_bundle(planned, tmp_path):
         np.testing.assert_array_equal(a, b)
 
 
-def test_plan_is_byte_deterministic(planned, tmp_path):
-    scenario, bundle = planned
-    again = tmp_path / "again"
-    assert main(["plan", str(scenario), "--out", str(again)]) == 0
+def _assert_same_bundle(bundle, again):
     for base, _, files in os.walk(bundle):
         rel = os.path.relpath(base, bundle)
         for name in files:
             p1 = os.path.join(base, name)
             p2 = os.path.join(again, rel, name)
             assert open(p1, "rb").read() == open(p2, "rb").read(), name
+
+
+def test_plan_is_byte_deterministic(planned, tmp_path):
+    scenario, bundle = planned
+    again = tmp_path / "again"
+    assert main(["plan", str(scenario), "--out", str(again)]) == 0
+    _assert_same_bundle(bundle, again)
+
+
+def test_plan_under_python_O_writes_the_same_bundle(planned, tmp_path):
+    # -O strips asserts; the run's invariants must not depend on them
+    scenario, bundle = planned
+    again = tmp_path / "optimized"
+    src = os.path.dirname(os.path.dirname(os.path.abspath(voxpick.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "voxpick.cli", "plan", str(scenario), "--out", str(again)],
+        env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    _assert_same_bundle(bundle, again)
+
+
+def _plan_edited(planned, tmp_path, edit):
+    scenario, _ = planned
+    d = json.loads(scenario.read_text())
+    edit(d)
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(d))
+    return main(["plan", str(path), "--out", str(tmp_path / "out")])
+
+
+def _assert_one_parse_error(capsys, field):
+    err = capsys.readouterr().err
+    lines = [line for line in err.splitlines() if line.startswith("error:")]
+    assert len(lines) == 1, err
+    assert lines[0].startswith("error:parse:parse:") and field in lines[0]
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("value", [-3, 2.7, 1.0, "1", True, None])
+def test_plan_rejects_bad_clearance_voxels(planned, tmp_path, capsys, value):
+    rc = _plan_edited(planned, tmp_path, lambda d: d["planner"].update(clearance_voxels=value))
+    assert rc == 2
+    _assert_one_parse_error(capsys, "planner.clearance_voxels")
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("object_radius_m", -1.0),
+        ("object_radius_m", float("nan")),
+        ("gripper_radius_m", 0.0),
+        ("gripper_radius_m", float("inf")),
+    ],
+)
+def test_plan_rejects_bad_actor_radius(planned, tmp_path, capsys, key, value):
+    rc = _plan_edited(planned, tmp_path, lambda d: d["actors"].update({key: value}))
+    assert rc == 2
+    _assert_one_parse_error(capsys, f"actors.{key}")
 
 
 def test_check_detects_injected_gradient_fault(capsys):

@@ -1,19 +1,29 @@
 """Grid search: optimality, inflation, and trajectory assembly."""
 
+import heapq
+import itertools
+from dataclasses import replace
+from math import sqrt
+
 import numpy as np
 import pytest
 
+from voxpick import grid_planner
 from voxpick.errors import GoalOccupied, NoPath, StartOccupied
 from voxpick.grid_planner import (
+    _NEIGHBORS,
     Stage,
     SubTrajectory,
     Trajectory,
+    _astar_cells,
     dilate_chebyshev,
     plan_segment,
     plan_three_stage,
 )
 from voxpick.oracles import dijkstra_cost
-from voxpick.scene import GridBounds, OccupancyGrid
+from voxpick.pipeline import build_grid
+from voxpick.scene import Box, GridBounds, OccupancyGrid
+from voxpick.templates import sink_scenario
 
 
 def _grid(occ, voxel=1.0):
@@ -138,3 +148,129 @@ def test_waypoints_emit_junctions_once():
     assert len(w) == sum(len(s) for s in traj.subs) - 2
     # consecutive duplicates would flag a doubled junction
     assert np.all(np.linalg.norm(np.diff(w, axis=0), axis=1) > 0)
+
+
+# --- the flat-index search against the tuple-keyed reference -----------------
+
+
+def _astar_reference(free, start, goal):
+    """Straightforward tuple-keyed A* with the same tie-break contract
+    (f, then h, then lexicographic cell order); the flat-index search must
+    return exactly its cell list and cost."""
+    dims = free.shape
+    goal_v = np.asarray(goal, dtype=np.float64)
+
+    def h(cell):
+        d = goal_v - cell
+        return sqrt(d[0] * d[0] + d[1] * d[1] + d[2] * d[2])
+
+    start = tuple(int(v) for v in start)
+    goal = tuple(int(v) for v in goal)
+    if start == goal:
+        return [start], 0.0
+
+    g = {start: 0.0}
+    came_from = {}
+    h0 = h(np.asarray(start))
+    heap = [(h0, h0, start)]
+    closed = set()
+    while heap:
+        f, _, cell = heapq.heappop(heap)
+        if cell in closed:
+            continue
+        if cell == goal:
+            path = [cell]
+            while cell in came_from:
+                cell = came_from[cell]
+                path.append(cell)
+            path.reverse()
+            return path, g[goal]
+        closed.add(cell)
+        gc = g[cell]
+        for (dx, dy, dz), step in _NEIGHBORS:
+            nb = (cell[0] + dx, cell[1] + dy, cell[2] + dz)
+            if not (0 <= nb[0] < dims[0] and 0 <= nb[1] < dims[1] and 0 <= nb[2] < dims[2]):
+                continue
+            if not free[nb] or nb in closed:
+                continue
+            ng = gc + step
+            if ng < g.get(nb, np.inf):
+                g[nb] = ng
+                came_from[nb] = cell
+                hn = h(np.asarray(nb))
+                heapq.heappush(heap, (ng + hn, hn, nb))
+    return None, np.inf
+
+
+def _assert_same_search(free, start, goal):
+    got = _astar_cells(free, start, goal)
+    want = _astar_reference(free, start, goal)
+    assert got[0] == want[0], (start, goal)
+    assert got[1] == want[1], (start, goal)
+    return got
+
+
+@pytest.mark.parametrize("dims", [(7, 9, 5), (12, 4, 10)])
+@pytest.mark.parametrize("clearance", [0, 1])
+def test_flat_search_matches_reference_on_random_grids(rng, dims, clearance):
+    found = 0
+    for k in range(12):
+        occ = rng.random(dims) < 0.25
+        free = ~dilate_chebyshev(occ, clearance)
+        cells = np.argwhere(free)
+        if len(cells) < 2:
+            continue
+        start, goal = cells[rng.choice(len(cells), 2, replace=False)]
+        found += _assert_same_search(free, start, goal)[0] is not None
+    assert found > 0
+
+
+@pytest.mark.parametrize("dims", [(7, 9, 5), (12, 4, 10)])
+def test_flat_search_matches_reference_on_faces_and_corners(rng, dims):
+    hi = [n - 1 for n in dims]
+    corners = list(itertools.product(*[(0, m) for m in hi]))
+    faces = [(0, hi[1] // 2, hi[2] // 2), (hi[0], 1, 2), (2, 0, hi[2]), (hi[0] // 2, hi[1], 0)]
+    ends = corners + faces
+    occ = rng.random(dims) < 0.2
+    for cell in ends:
+        occ[cell] = False
+    for free in (~occ, np.ones(dims, bool)):  # the empty grid ties heavily
+        for start, goal in itertools.combinations(ends, 2):
+            _assert_same_search(free, start, goal)
+            _assert_same_search(free, goal, start)
+
+
+def test_flat_search_matches_reference_on_degenerate_queries():
+    free = np.ones((7, 9, 5), bool)
+    assert _assert_same_search(free, (3, 4, 2), (3, 4, 2)) == ([(3, 4, 2)], 0.0)
+    assert _assert_same_search(free, (0, 0, 0), (6, 8, 4))[0] is not None
+    free[3] = False  # a sealed wall: the goal is unreachable
+    assert _assert_same_search(free, (0, 0, 0), (6, 8, 4)) == (None, np.inf)
+
+
+def test_three_stage_on_partition_matches_reference(monkeypatch):
+    # the sink with its rim raised into a divider the legs must climb over
+    # (y 0.4-12.4 m, top at z 10 m), as in the benchmark's partition scene
+    sink = sink_scenario()
+    prims = tuple(
+        Box((p.min_m[0], 0.4, p.min_m[2]), (p.max_m[0], 12.4, 10.0), p.name)
+        if p.name == "rim" else p
+        for p in sink.spec.primitives
+    )
+    scenario = replace(sink, spec=replace(sink.spec, primitives=prims))
+    grid, _ = build_grid(scenario)
+    spec = scenario.spec
+
+    def plan():
+        return plan_three_stage(
+            grid, spec.effector_start, spec.object_position, spec.place_target,
+            clearance_voxels=scenario.config.clearance_voxels,
+        )
+
+    got = plan()
+    monkeypatch.setattr(grid_planner, "_astar_cells", _astar_reference)
+    want = plan()
+    for a, b in zip(got.subs, want.subs):
+        np.testing.assert_array_equal(a.points, b.points)
+        assert a.cost == b.cost
+        assert a.clearance_used == b.clearance_used

@@ -4,12 +4,14 @@ determinism."""
 import filecmp
 import json
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from voxpick.errors import ParseError
-from voxpick.grid_planner import Stage
+from voxpick import pipeline
+from voxpick.errors import ParseError, VoxpickError
+from voxpick.grid_planner import Stage, SubTrajectory, Trajectory
 from voxpick.pipeline import (
     Scenario,
     actor_frames,
@@ -104,6 +106,25 @@ def test_empty_scene_plans_straight():
     # free space: the optimizer has nothing to push against
     assert bundle.loss_report.after.col == 0.0
     assert bundle.clearance_after["manipulate"].min_m > bundle.scenario.config.d_safe
+
+
+def test_endpoint_drift_is_an_error_not_an_assert(monkeypatch):
+    real = pipeline.optimize_trajectory
+
+    def drifting(traj, fld, config, keep_trace=False):
+        opt, report = real(traj, fld, config, keep_trace)
+        first = opt.subs[0]
+        pts = np.array(first.points)
+        pts[0] += 0.01  # the effector start moves; the junctions stay put
+        moved = SubTrajectory(first.stage, pts, first.cost, first.clearance_used)
+        return Trajectory(subs=(moved,) + opt.subs[1:]), report
+
+    scenario = empty_scenario()
+    scenario = replace(scenario, config=replace(scenario.config, iterations=1))
+    monkeypatch.setattr(pipeline, "optimize_trajectory", drifting)
+    with pytest.raises(VoxpickError, match="endpoint drift") as info:
+        run(scenario)
+    assert info.value.stage == "optimize"
 
 
 def _tree_bytes(root):
