@@ -3,99 +3,21 @@ rendering.
 
 Pipeline: scene -> occupancy grid -> exact distance field -> three-stage A*
 -> first-order trajectory refinement -> velocity-profiled time reallocation
--> per-frame sphere projection masks.
+-> per-frame sphere projection masks. The rest of the API lives in the
+submodules (``voxpick.scene``, ``voxpick.projection``, ...).
 """
 
-from .distance_field import DistanceField, compute_edt, sentinel_distance
 from .errors import VoxpickError
-from .grid_planner import Stage, SubTrajectory, Trajectory, plan_segment, plan_three_stage
-from .losses import loss_acc, loss_col, loss_curv, loss_length
-from .optimizer import LossReport, LossTerms, PlannerConfig, evaluate_losses, optimize_trajectory
 from .pipeline import RunBundle, Scenario, load_scenario, run, save_scenario, write_bundle
-from .projection import (
-    BEHIND,
-    CameraModel,
-    GuidanceMask,
-    PALETTE,
-    SphereActor,
-    look_at,
-    project_sphere,
-    render_guidance_masks,
-)
-from .scene import (
-    Box,
-    GridBounds,
-    OccupancyGrid,
-    Plane,
-    PointCloud,
-    SceneSpec,
-    Sphere,
-    default_bounds,
-    load_point_cloud,
-    synth_scene,
-    voxelize,
-)
-from .time_alloc import (
-    GripperState,
-    TimedTrajectory,
-    VelocityProfile,
-    allocate_counts,
-    arc_length,
-    reallocate,
-    resample,
-)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BEHIND",
-    "Box",
-    "CameraModel",
-    "DistanceField",
-    "GridBounds",
-    "GripperState",
-    "GuidanceMask",
-    "LossReport",
-    "LossTerms",
-    "OccupancyGrid",
-    "PALETTE",
-    "Plane",
-    "PlannerConfig",
-    "PointCloud",
     "RunBundle",
     "Scenario",
-    "SceneSpec",
-    "Sphere",
-    "SphereActor",
-    "Stage",
-    "SubTrajectory",
-    "TimedTrajectory",
-    "Trajectory",
-    "VelocityProfile",
     "VoxpickError",
-    "allocate_counts",
-    "arc_length",
-    "compute_edt",
-    "default_bounds",
-    "evaluate_losses",
-    "load_point_cloud",
     "load_scenario",
-    "look_at",
-    "loss_acc",
-    "loss_col",
-    "loss_curv",
-    "loss_length",
-    "optimize_trajectory",
-    "plan_segment",
-    "plan_three_stage",
-    "project_sphere",
-    "reallocate",
-    "render_guidance_masks",
-    "resample",
     "run",
     "save_scenario",
-    "sentinel_distance",
-    "synth_scene",
-    "voxelize",
     "write_bundle",
 ]

@@ -25,19 +25,11 @@ import numpy as np
 from .errors import CorruptBundle, OracleMismatch, ParseError, VoxpickError
 from .grid_planner import Stage
 from .optimizer import PlannerConfig
-from .pipeline import (
-    Scenario,
-    actor_frames,
-    load_scenario,
-    run,
-    save_scenario,
-    scenario_to_dict,
-    write_bundle,
-)
-from .projection import ActorRole, SphereActor, render_guidance_masks, write_pgm
+from .pipeline import Scenario, load_scenario, mask_actors, run, save_scenario, write_bundle
+from .projection import render_guidance_masks, write_pgm
 from .scene import Box
 from .selfcheck import run_checks
-from .templates import VOXEL, make_template
+from .templates import make_template
 from .time_alloc import GripperState, TimedFrame, TimedTrajectory, VelocityProfile
 
 
@@ -174,14 +166,32 @@ def report_tables(bundle_dir: str) -> dict:
             speed_rows = list(csv.reader(fh))
     except OSError as e:
         raise CorruptBundle(f"cannot read {speeds_path}: {e}") from e
+    initial = _timed_from_bundle(bundle_dir, "trajectory_initial.jsonl")
+    optimized = _timed_from_bundle(bundle_dir, "trajectory_optimized.jsonl")
+    sine_fit_rows = [
+        (stage.value, [_sine_fit(initial, stage), _sine_fit(optimized, stage)])
+        for stage in Stage
+    ]
     return {
         "losses": loss_rows,
         "clearance": clearance_rows,
+        "sine_fit": sine_fit_rows,
         "speeds": speed_rows,
         "arc_length_initial_m": metrics["arc_length_initial_m"],
         "arc_length_optimized_m": metrics["arc_length_optimized_m"],
         "arc_length_timed_m": metrics["arc_length_timed_m"],
     }
+
+
+def _sine_fit(timed: TimedTrajectory, stage: Stage) -> float:
+    """Largest |chord speed / the stage's top chord speed - sin(pi (i + 1/2) / n)|
+    over the stage's n chords (nan if it has none); a chord belongs to the
+    stage of its first frame."""
+    s = timed.speeds()[[f.stage is stage for f in timed.frames[:-1]]]
+    if not len(s):
+        return float("nan")
+    target = np.sin(np.pi * (np.arange(len(s)) + 0.5) / len(s))
+    return float(np.abs(s / s.max() - target).max())
 
 
 def cmd_report(args) -> int:
@@ -193,6 +203,9 @@ def cmd_report(args) -> int:
     print("clearance,stage," + ",".join(CLEARANCE_COLUMNS), file=out)
     for phase, stage, values in tables["clearance"]:
         print(f"{phase},{stage}," + ",".join(repr(v) for v in values), file=out)
+    print("sine_fit,stage,initial_max_dev,optimized_max_dev", file=out)
+    for stage, values in tables["sine_fit"]:
+        print(f"sine_fit,{stage}," + ",".join(repr(v) for v in values), file=out)
     print(f"arc_length_initial_m,{tables['arc_length_initial_m']!r}", file=out)
     print(f"arc_length_optimized_m,{tables['arc_length_optimized_m']!r}", file=out)
     print(f"arc_length_timed_m,{tables['arc_length_timed_m']!r}", file=out)
@@ -203,8 +216,8 @@ def cmd_report(args) -> int:
     return 0
 
 
-def _timed_from_bundle(bundle_dir: str) -> TimedTrajectory:
-    path = os.path.join(bundle_dir, "trajectory_optimized.jsonl")
+def _timed_from_bundle(bundle_dir: str, name: str) -> TimedTrajectory:
+    path = os.path.join(bundle_dir, name)
     frames: List[TimedFrame] = []
     try:
         with open(path, "r", encoding="ascii") as fh:
@@ -229,16 +242,8 @@ def _timed_from_bundle(bundle_dir: str) -> TimedTrajectory:
 
 def cmd_masks(args) -> int:
     scenario = load_scenario(os.path.join(args.bundle, "scenario.json"))
-    timed = _timed_from_bundle(args.bundle)
-    obj_frames, grip_frames = actor_frames(
-        timed, scenario.spec.grasp_point(), scenario.spec.place_target
-    )
-    masks = render_guidance_masks(
-        timed,
-        SphereActor(ActorRole.OBJECT, scenario.object_radius, obj_frames),
-        SphereActor(ActorRole.GRIPPER, scenario.gripper_radius, grip_frames),
-        scenario.camera,
-    )
+    timed = _timed_from_bundle(args.bundle, "trajectory_optimized.jsonl")
+    masks = render_guidance_masks(timed, *mask_actors(scenario, timed), scenario.camera)
     os.makedirs(args.out, exist_ok=True)
     for k, m in enumerate(masks):
         write_pgm(os.path.join(args.out, f"frame_{k:04d}.pgm"), m.image)

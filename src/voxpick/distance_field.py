@@ -115,21 +115,6 @@ class DistanceField:
         )
         return np.stack([gx, gy, gz], axis=-1) / self.voxel_size
 
-    def dump_raw(self, path) -> None:
-        """Debug dump: text header (dims, bounds) + little-endian float32
-        volume in C order."""
-        header = (
-            f"voxpick-distance-field v1\n"
-            f"dims {self.dims[0]} {self.dims[1]} {self.dims[2]}\n"
-            f"min_corner_m {self.bounds.min_corner[0]!r} "
-            f"{self.bounds.min_corner[1]!r} {self.bounds.min_corner[2]!r}\n"
-            f"voxel_size_m {self.voxel_size!r}\n"
-            f"data float32 little-endian\n"
-        )
-        with open(path, "wb") as fh:
-            fh.write(header.encode("ascii"))
-            fh.write(self.distance.astype("<f4").tobytes(order="C"))
-
 
 def _dt1d_sq(f: np.ndarray) -> np.ndarray:
     """Squared-distance 1D pass along the last axis of an integer array:

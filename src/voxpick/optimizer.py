@@ -14,8 +14,8 @@ returned. Either way the reported objective never increases.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass, replace
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -23,6 +23,10 @@ from .distance_field import DistanceField
 from .errors import NonFiniteLoss
 from .grid_planner import SubTrajectory, Trajectory
 from .losses import loss_acc, loss_col, loss_curv, loss_length
+
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 @dataclass(frozen=True)
@@ -34,9 +38,6 @@ class PlannerConfig:
     d_safe: float = 0.02  # meters; scenarios default to 2 * voxel_size
     learning_rate: float = 0.1
     iterations: int = 200
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
     eps_curv: float = 1e-6
     clearance_voxels: int = 1
 
@@ -50,6 +51,10 @@ class PlannerConfig:
             raise ValueError(f"d_safe must be a non-negative finite scalar: {self.d_safe}")
         if self.iterations < 1:
             raise ValueError(f"iterations must be positive: {self.iterations}")
+        if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError(f"learning_rate must be finite and positive: {self.learning_rate}")
+        if not (np.isfinite(self.eps_curv) and self.eps_curv >= 0):
+            raise ValueError(f"eps_curv must be finite and non-negative: {self.eps_curv}")
 
 
 @dataclass
@@ -76,18 +81,16 @@ class LossReport:
     after: LossTerms
     per_stage_before: Dict[str, LossTerms]
     per_stage_after: Dict[str, LossTerms]
-    trace: Optional[Dict[str, List[float]]] = None  # per-iteration totals
+    trace: Dict[str, List[float]]  # per-iteration totals
 
     def as_dict(self) -> dict:
-        out = {
+        return {
             "before": self.before.as_dict(),
             "after": self.after.as_dict(),
             "per_stage_before": {k: v.as_dict() for k, v in self.per_stage_before.items()},
             "per_stage_after": {k: v.as_dict() for k, v in self.per_stage_after.items()},
+            "trace": self.trace,
         }
-        if self.trace is not None:
-            out["trace"] = self.trace
-        return out
 
 
 def evaluate_losses(
@@ -127,7 +130,7 @@ def _optimize_points(
 
     m = np.zeros_like(P)
     v = np.zeros_like(P)
-    b1, b2, eps = config.adam_beta1, config.adam_beta2, config.adam_eps
+    b1, b2, eps = ADAM_BETA1, ADAM_BETA2, ADAM_EPS
     best = {True: None, False: None}  # keyed by feasibility (L_col == 0)
 
     def consider(terms: LossTerms, points: np.ndarray) -> None:
@@ -173,7 +176,6 @@ def optimize_trajectory(
     traj: Trajectory,
     field: DistanceField,
     config: PlannerConfig,
-    keep_trace: bool = False,
 ) -> Tuple[Trajectory, LossReport]:
     """Optimize the three sub-trajectories independently.
 
@@ -208,6 +210,6 @@ def optimize_trajectory(
         after=_sum(per_after),
         per_stage_before=per_before,
         per_stage_after=per_after,
-        trace=trace if keep_trace else None,
+        trace=trace,
     )
     return Trajectory(subs=tuple(subs)), report

@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -21,7 +21,6 @@ from .errors import ParseError, VoxpickError, tag_stage
 from .grid_planner import Stage, Trajectory, plan_three_stage
 from .optimizer import LossReport, PlannerConfig, optimize_trajectory
 from .projection import (
-    ActorRole,
     CameraModel,
     GuidanceMask,
     PALETTE,
@@ -76,7 +75,7 @@ class Scenario:
         ):
             p = np.asarray(p)
             if np.any(p < lo) or np.any(p >= hi):
-                raise ParseError(f"{name} {tuple(p)} outside grid bounds")
+                raise ParseError(f"{name} {tuple(p.tolist())} outside grid bounds")
 
 
 @dataclass
@@ -147,6 +146,17 @@ def actor_frames(
     return obj, gripper
 
 
+def mask_actors(scenario: Scenario, timed: TimedTrajectory) -> Tuple[SphereActor, SphereActor]:
+    """The object and gripper spheres that the guidance masks draw."""
+    obj_frames, grip_frames = actor_frames(
+        timed, scenario.spec.grasp_point(), scenario.spec.place_target
+    )
+    return (
+        SphereActor(scenario.object_radius, obj_frames),
+        SphereActor(scenario.gripper_radius, grip_frames),
+    )
+
+
 def _invariant(ok: bool, stage: str, message: str) -> None:
     """A runtime invariant that, unlike ``assert``, survives ``python -O``."""
     if not ok:
@@ -172,7 +182,7 @@ def run(scenario: Scenario) -> RunBundle:
         grasp_offset=spec.grasp_offset,
     )
 
-    optimized, report = optimize_trajectory(initial, fld, scenario.config, keep_trace=True)
+    optimized, report = optimize_trajectory(initial, fld, scenario.config)
     for sub0, sub1 in zip(initial.subs, optimized.subs):
         for end in (0, -1):
             _invariant(
@@ -190,13 +200,10 @@ def run(scenario: Scenario) -> RunBundle:
         f"differ from total_frames {scenario.total_frames}",
     )
 
-    grasp_point = spec.grasp_point()
-    place = np.asarray(spec.place_target, dtype=np.float64)
-    obj_frames, grip_frames = actor_frames(timed_optimized, grasp_point, place)
-    obj_actor = SphereActor(ActorRole.OBJECT, scenario.object_radius, obj_frames)
-    grip_actor = SphereActor(ActorRole.GRIPPER, scenario.gripper_radius, grip_frames)
     try:
-        masks = render_guidance_masks(timed_optimized, obj_actor, grip_actor, scenario.camera)
+        masks = render_guidance_masks(
+            timed_optimized, *mask_actors(scenario, timed_optimized), scenario.camera
+        )
     except VoxpickError as e:
         raise tag_stage(e, "render")
     _invariant(
@@ -329,7 +336,7 @@ def scenario_from_dict(d: dict) -> Scenario:
             w_col=float(planner.get("w_col", 10.0)),
             d_safe=float(planner.get("d_safe_m", 2.0 * bounds.voxel_size)),
             learning_rate=float(planner.get("learning_rate", 0.1)),
-            iterations=int(planner.get("iterations", 200)),
+            iterations=_non_negative_int(planner.get("iterations", 200), "planner.iterations"),
             clearance_voxels=_non_negative_int(
                 planner.get("clearance_voxels", 1), "planner.clearance_voxels"
             ),
@@ -351,20 +358,22 @@ def scenario_from_dict(d: dict) -> Scenario:
             fy=float(cam["fy_px"]),
             cx=float(cam["cx_px"]),
             cy=float(cam["cy_px"]),
-            width=int(cam["width_px"]),
-            height=int(cam["height_px"]),
+            width=_non_negative_int(cam["width_px"], "camera.width_px"),
+            height=_non_negative_int(cam["height_px"], "camera.height_px"),
             rotation=np.asarray(cam["rotation"], dtype=np.float64),
             translation=np.asarray(cam["translation_m"], dtype=np.float64),
         )
         frames = d.get("frames", {})
         return Scenario(
             name=str(d.get("name", "scenario")),
-            dims=tuple(int(v) for v in grid["dims"]),
+            dims=tuple(_non_negative_int(v, "grid.dims") for v in grid["dims"]),
             bounds=bounds,
             spec=spec,
             cloud_path=d.get("cloud_path"),
             config=config,
-            total_frames=int(frames.get("total_frames", 49)),
+            total_frames=_non_negative_int(
+                frames.get("total_frames", 49), "frames.total_frames"
+            ),
             profile=VelocityProfile(frames.get("velocity_profile", "sine")),
             camera=camera,
             object_radius=float(d["actors"]["object_radius_m"]),

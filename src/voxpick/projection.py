@@ -11,9 +11,8 @@ consumer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from enum import Enum
-from typing import List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass
+from typing import List, Tuple
 
 import numpy as np
 
@@ -57,9 +56,6 @@ class CameraModel:
         p = np.asarray(p_world, dtype=np.float64)
         return p @ self.rotation.T + self.translation
 
-    def depth(self, p_world) -> np.ndarray:
-        return self.to_camera(p_world)[..., 2]
-
 
 def look_at(eye, target, up=(0.0, 0.0, 1.0)) -> Tuple[np.ndarray, np.ndarray]:
     """World-to-camera rotation/translation for a camera at ``eye``
@@ -74,14 +70,8 @@ def look_at(eye, target, up=(0.0, 0.0, 1.0)) -> Tuple[np.ndarray, np.ndarray]:
     return R, -R @ eye
 
 
-class ActorRole(Enum):
-    OBJECT = "object"
-    GRIPPER = "gripper"
-
-
 @dataclass(frozen=True)
 class SphereActor:
-    role: ActorRole
     radius: float  # meters; object: longer bounding-box edge, gripper: fixed
     centers: np.ndarray  # (n_frames, 3) world meters
 
@@ -114,25 +104,6 @@ def project_sphere(cam: CameraModel, center, radius_m: float):
     v = cam.fy * Y / Z + cam.cy
     r_px = cam.fx * radius_m / Z
     return float(u), float(v), float(r_px)
-
-
-def unproject(cam: CameraModel, u: float, v: float, depth: float) -> np.ndarray:
-    """Camera-frame point with image coords (u, v) at depth Z."""
-    return np.array(
-        [(u - cam.cx) / cam.fx * depth, (v - cam.cy) / cam.fy * depth, depth]
-    )
-
-
-def object_depth_offset(cam: CameraModel, effector_frames, grasp_frame: int) -> np.ndarray:
-    """Per-frame object camera-depth deltas under the constant
-    camera-object distance assumption: zero before the grasp, afterwards
-    equal to the effector's depth change relative to the grasp frame."""
-    depths = cam.depth(np.asarray(effector_frames, dtype=np.float64))
-    if not 0 <= grasp_frame < len(depths):
-        raise ValueError(f"grasp frame {grasp_frame} outside 0..{len(depths) - 1}")
-    deltas = np.zeros_like(depths)
-    deltas[grasp_frame:] = depths[grasp_frame:] - depths[grasp_frame]
-    return deltas
 
 
 def rasterize_circle(mask: np.ndarray, circle, value: int) -> None:

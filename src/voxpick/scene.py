@@ -7,8 +7,8 @@ one cell; cell centers sit at ``min + (i + 0.5)*s``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, Sequence, Tuple, Union
+from dataclasses import dataclass
+from typing import Optional, Tuple, Union
 
 import numpy as np
 
@@ -75,7 +75,7 @@ class OccupancyGrid:
         q = (np.asarray(p, dtype=np.float64) - self.min_corner) / self.voxel_size
         c = np.floor(q).astype(np.int64)
         if np.any(c < 0) or np.any(c >= np.asarray(self.dims)):
-            raise OutOfBounds(f"point {tuple(np.asarray(p, float))} outside grid")
+            raise OutOfBounds(f"point {tuple(np.asarray(p, float).tolist())} outside grid")
         return tuple(int(v) for v in c)
 
     def grid_to_world(self, cell) -> np.ndarray:
@@ -143,13 +143,6 @@ class SceneSpec:
     place_target: Vec3
     grasp_offset: Optional[Vec3] = None  # affordance point relative to object center
 
-    def keypoints(self):
-        return (
-            np.asarray(self.effector_start, float),
-            np.asarray(self.object_position, float),
-            np.asarray(self.place_target, float),
-        )
-
     def grasp_point(self) -> np.ndarray:
         obj = np.asarray(self.object_position, float)
         if self.grasp_offset is None:
@@ -207,6 +200,8 @@ def _parse_ply(lines, path) -> PointCloud:
             parts = s.split()
             in_vertex_element = len(parts) == 3 and parts[1] == "vertex"
             if in_vertex_element:
+                if not parts[2].isdigit():
+                    raise ParseError(f"{path}:{ln}: bad vertex count {parts[2]!r}")
                 n_vertices = int(parts[2])
         elif s.startswith("property") and in_vertex_element:
             props.append(s.split()[-1])
@@ -230,26 +225,6 @@ def _parse_ply(lines, path) -> PointCloud:
         except (IndexError, ValueError) as e:
             raise ParseError(f"{path}:{ln}: bad vertex line: {e}") from e
     return PointCloud(np.asarray(pts, dtype=np.float64).reshape(-1, 3))
-
-
-def write_xyz(path, cloud: PointCloud) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        for x, y, z in cloud.points:
-            fh.write(f"{float(x)!r} {float(y)!r} {float(z)!r}\n")
-
-
-def default_bounds(cloud: PointCloud, dims) -> GridBounds:
-    """Axis-aligned bounds of the cloud inflated by one voxel on each side."""
-    if len(cloud) == 0:
-        return GridBounds((0.0, 0.0, 0.0), 1.0 / max(dims))
-    lo = cloud.points.min(axis=0)
-    hi = cloud.points.max(axis=0)
-    extent = float((hi - lo).max())
-    if extent <= 0:
-        extent = 1.0
-    # one-voxel inflation: extent spans dims-2 voxels of the final grid
-    voxel = extent / (max(dims) - 2)
-    return GridBounds(tuple(lo - voxel), voxel)
 
 
 def voxelize(cloud: PointCloud, dims, bounds: GridBounds):

@@ -60,21 +60,6 @@ class TimedTrajectory:
         p = self.positions()
         return np.linalg.norm(np.diff(p, axis=0), axis=1)
 
-    def stage_slices(self) -> dict:
-        out = {}
-        for i, f in enumerate(self.frames):
-            if f.stage not in out:
-                out[f.stage] = [i, i]
-            out[f.stage][1] = i
-        return {k: (v[0], v[1] + 1) for k, v in out.items()}
-
-    def grasp_frame(self) -> int:
-        """First frame with the gripper closed."""
-        for f in self.frames:
-            if f.gripper is GripperState.CLOSED:
-                return f.index
-        return -1
-
 
 def arc_length(points) -> float:
     """Polyline length; 0 for a single point."""

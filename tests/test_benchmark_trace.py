@@ -1,0 +1,46 @@
+"""The benchmark's tracer (perfbench/spans.py) wraps voxpick names that
+callers look up at call time; a rename or deletion of one of them must fail
+here rather than in a traced benchmark run."""
+
+import os
+from dataclasses import replace
+
+import pytest
+
+from voxpick import pipeline
+from voxpick.templates import empty_scenario
+
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
+
+
+@pytest.fixture
+def spans(monkeypatch):
+    monkeypatch.syspath_prepend(PERFBENCH)
+    import spans
+
+    return spans
+
+
+def test_tracer_finds_every_wrapped_name(spans):
+    # _patches looks every name up with getattr: a missing one raises here
+    patches = spans._patches(spans.Recorder())
+    cli_names = {attr for owner, attr, _ in patches if owner.__name__ == "voxpick.cli"}
+    assert cli_names == {"main", "render_guidance_masks", "write_pgm"}
+
+
+def test_traced_run_records_each_stage(spans):
+    scenario = empty_scenario()
+    scenario = replace(scenario, config=replace(scenario.config, iterations=2))
+    rec = spans.Recorder()
+    with rec.op_span("op"), spans.traced(rec):
+        pipeline.run(scenario)
+    names = {name for name, *_ in rec.spans}
+    assert {
+        "distance_field.edt",
+        "grid_planner.plan",
+        "optimizer.optimize",
+        "losses.eval",
+        "time_alloc.reallocate",
+        "projection.render",
+    } <= names
+    assert rec.counts["op"]["optimizer.iterations"] > 0

@@ -89,6 +89,11 @@ def test_report_tables_and_csv(planned, tmp_path, capsys):
     assert speeds.exists()
     tables = report_tables(str(bundle))
     assert len(tables["clearance"]) == 6
+    assert "\nsine_fit,stage,initial_max_dev,optimized_max_dev\n" in out
+    assert [stage for stage, _ in tables["sine_fit"]] == ["approach", "manipulate", "back_idle"]
+    # the grid-planned legs are straight, so their chords track the sine
+    # within check_velocity_profile's bound
+    assert all(initial < 0.05 for _, (initial, _) in tables["sine_fit"])
     (before, after) = (dict(tables["losses"])[k][-1] for k in ("before", "after"))
     assert after <= before
 
@@ -178,6 +183,50 @@ def test_plan_rejects_bad_actor_radius(planned, tmp_path, capsys, key, value):
     rc = _plan_edited(planned, tmp_path, lambda d: d["actors"].update({key: value}))
     assert rc == 2
     _assert_one_parse_error(capsys, f"actors.{key}")
+
+
+@pytest.mark.parametrize(
+    "section, key, value, field",
+    [
+        ("planner", "iterations", 2.7, "planner.iterations"),
+        ("frames", "total_frames", 49.9, "frames.total_frames"),
+        ("grid", "dims", [64.5, 64, 64], "grid.dims"),
+        ("camera", "width_px", 256.7, "camera.width_px"),
+        ("camera", "height_px", 256.5, "camera.height_px"),
+    ],
+)
+def test_plan_rejects_fractional_integer_fields(planned, tmp_path, capsys, section, key,
+                                                value, field):
+    rc = _plan_edited(planned, tmp_path, lambda d: d[section].update({key: value}))
+    assert rc == 2
+    _assert_one_parse_error(capsys, field)
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("learning_rate", float("nan")), ("learning_rate", -1.0), ("eps_curv", float("nan"))],
+)
+def test_plan_rejects_bad_step_settings(planned, tmp_path, capsys, key, value):
+    rc = _plan_edited(planned, tmp_path, lambda d: d["planner"].update({key: value}))
+    assert rc == 2
+    _assert_one_parse_error(capsys, key)
+
+
+def test_plan_rejects_nan_learning_rate_override(planned, tmp_path, capsys):
+    scenario, _ = planned
+    rc = main(["plan", str(scenario), "--out", str(tmp_path / "o"), "--learning-rate", "nan"])
+    assert rc == 2
+    _assert_one_parse_error(capsys, "learning_rate")
+
+
+def test_out_of_bounds_keypoint_prints_plain_floats(planned, tmp_path, capsys):
+    rc = _plan_edited(
+        planned, tmp_path, lambda d: d["scene"].update(effector_start_m=[6.8, 6.4, 13.0])
+    )
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:parse:parse: effector_start (6.8, 6.4, 13.0) outside")
+    assert "np.float64" not in err
 
 
 def test_check_detects_injected_gradient_fault(capsys):

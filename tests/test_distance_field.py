@@ -92,16 +92,3 @@ def test_gradient_matches_finite_differences(rng):
         lambda Q: float(np.sum(fld.sample(Q))), P, h=grid.voxel_size / 200.0
     )
     np.testing.assert_allclose(analytic, numeric, atol=1e-6)
-
-
-def test_dump_raw_round_trip(tmp_path, rng):
-    occ = rng.random((3, 4, 5)) < 0.4
-    occ[0, 0, 0] = True
-    fld = compute_edt(_grid(occ))
-    path = tmp_path / "field.bin"
-    fld.dump_raw(path)
-    raw = path.read_bytes()
-    header, _, body = raw.partition(b"little-endian\n")
-    assert b"dims 3 4 5" in header
-    vol = np.frombuffer(body, dtype="<f4").reshape(3, 4, 5)
-    np.testing.assert_allclose(vol, fld.distance, rtol=1e-6)

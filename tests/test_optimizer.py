@@ -112,9 +112,7 @@ def test_optimize_trajectory_pins_junctions():
 
 
 def test_loss_report_totals_are_stage_sums():
-    _, report = optimize_trajectory(
-        _trajectory(), _occupied_field(), PlannerConfig(iterations=5), keep_trace=True
-    )
+    _, report = optimize_trajectory(_trajectory(), _occupied_field(), PlannerConfig(iterations=5))
     for phase, per_stage in (
         (report.before, report.per_stage_before),
         (report.after, report.per_stage_after),

@@ -2,6 +2,7 @@
 determinism."""
 
 import filecmp
+import hashlib
 import json
 import os
 from dataclasses import replace
@@ -111,8 +112,8 @@ def test_empty_scene_plans_straight():
 def test_endpoint_drift_is_an_error_not_an_assert(monkeypatch):
     real = pipeline.optimize_trajectory
 
-    def drifting(traj, fld, config, keep_trace=False):
-        opt, report = real(traj, fld, config, keep_trace)
+    def drifting(traj, fld, config):
+        opt, report = real(traj, fld, config)
         first = opt.subs[0]
         pts = np.array(first.points)
         pts[0] += 0.01  # the effector start moves; the junctions stay put
@@ -125,6 +126,27 @@ def test_endpoint_drift_is_an_error_not_an_assert(monkeypatch):
     with pytest.raises(VoxpickError, match="endpoint drift") as info:
         run(scenario)
     assert info.value.stage == "optimize"
+
+
+# sha256 of the sink template's bundle, hashed as perfbench/run.py's
+# tree_digest does; a change that alters any bundle byte must say so
+SINK_BUNDLE_SHA256 = "b7af15934df67f4517e6e7905c5398f57c8811973a4542848ed556d1898423fe"
+
+
+def _tree_digest(root):
+    h = hashlib.sha256()
+    for base, _, files in sorted(os.walk(root)):
+        for name in sorted(files):
+            p = os.path.join(base, name)
+            h.update(os.path.relpath(p, root).encode() + b"\0")
+            with open(p, "rb") as fh:
+                h.update(fh.read())
+    return h.hexdigest()
+
+
+def test_sink_bundle_bytes_are_pinned(sink_bundle, tmp_path):
+    write_bundle(sink_bundle, tmp_path / "bundle")
+    assert _tree_digest(tmp_path / "bundle") == SINK_BUNDLE_SHA256
 
 
 def _tree_bytes(root):

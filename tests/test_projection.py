@@ -8,18 +8,15 @@ from hypothesis import strategies as st
 from voxpick.errors import DimensionMismatch
 from voxpick.grid_planner import Stage
 from voxpick.projection import (
-    ActorRole,
     BEHIND,
     CameraModel,
     PALETTE,
     SphereActor,
     look_at,
-    object_depth_offset,
     project_sphere,
     rasterize_circle,
     read_pgm,
     render_guidance_masks,
-    unproject,
     write_pgm,
 )
 from voxpick.time_alloc import GripperState, TimedFrame, TimedTrajectory
@@ -43,14 +40,6 @@ def test_spheres_behind_or_straddling_the_camera():
     cam = _identity_cam()
     assert project_sphere(cam, (0.0, 0.0, -1.0), 0.1) == BEHIND
     assert project_sphere(cam, (0.0, 0.0, 0.05), 0.1) == BEHIND  # Z <= R
-
-
-def test_unproject_round_trip(rng):
-    cam = _identity_cam()
-    for _ in range(20):
-        p = rng.uniform([-1, -1, 0.5], [1, 1, 5.0])
-        u, v, _ = project_sphere(cam, p, 0.01)
-        np.testing.assert_allclose(unproject(cam, u, v, p[2]), p, atol=1e-9)
 
 
 @settings(max_examples=50, deadline=None)
@@ -78,18 +67,9 @@ def test_look_at_geometry():
     cam = _identity_cam(rotation=R, translation=t)
     # the target sits on the optical axis, 5 m ahead
     np.testing.assert_allclose(cam.to_camera((0.0, 0.0, 0.0)), [0, 0, 5], atol=1e-12)
-    assert cam.depth((0.0, -4.0, 0.0)) == pytest.approx(1.0)
+    assert cam.to_camera((0.0, -4.0, 0.0))[2] == pytest.approx(1.0)
     # world up maps to camera -y (+y is down)
     np.testing.assert_allclose(cam.to_camera((0.0, -5.0, 1.0)), [0, -1, 0], atol=1e-12)
-
-
-def test_object_depth_offset_constant_before_grasp():
-    cam = _identity_cam()
-    frames = np.array([[0, 0, 2], [0, 0, 2.5], [0, 0, 3.0], [0, 0, 3.5]], float)
-    deltas = object_depth_offset(cam, frames, grasp_frame=2)
-    np.testing.assert_allclose(deltas, [0.0, 0.0, 0.0, 0.5])
-    with pytest.raises(ValueError):
-        object_depth_offset(cam, frames, grasp_frame=9)
 
 
 def test_rasterize_circle_pixel_centers():
@@ -124,8 +104,8 @@ def test_render_masks_palette_and_keep_flag():
     centers = timed.positions()
     masks = render_guidance_masks(
         timed,
-        SphereActor(ActorRole.OBJECT, 0.2, centers),
-        SphereActor(ActorRole.GRIPPER, 0.1, centers),
+        SphereActor(0.2, centers),
+        SphereActor(0.1, centers),
         cam,
     )
     assert len(masks) == 5
@@ -142,8 +122,8 @@ def test_render_masks_palette_and_keep_flag():
 def test_render_masks_rejects_frame_count_mismatch():
     cam = _identity_cam()
     timed = _timed(4, (1, 3))
-    good = SphereActor(ActorRole.GRIPPER, 0.1, timed.positions())
-    bad = SphereActor(ActorRole.OBJECT, 0.2, timed.positions()[:-1])
+    good = SphereActor(0.1, timed.positions())
+    bad = SphereActor(0.2, timed.positions()[:-1])
     with pytest.raises(DimensionMismatch):
         render_guidance_masks(timed, bad, good, cam)
 

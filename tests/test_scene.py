@@ -14,18 +14,16 @@ from voxpick.scene import (
     PointCloud,
     SceneSpec,
     Sphere,
-    default_bounds,
     load_point_cloud,
     synth_scene,
     voxelize,
-    write_xyz,
 )
 
 
 def test_xyz_round_trip(tmp_path):
     pts = np.array([[0.1, 0.2, 0.3], [1.0, -2.5, 3.25]])
     path = tmp_path / "cloud.xyz"
-    write_xyz(path, PointCloud(pts))
+    path.write_text("".join(f"{x!r} {y!r} {z!r}\n" for x, y, z in pts.tolist()))
     back = load_point_cloud(path)
     np.testing.assert_array_equal(back.points, pts)
 
@@ -70,6 +68,18 @@ def test_ply_truncated_vertices(tmp_path):
         "end_header\n0 0 0\n"
     )
     with pytest.raises(ParseError):
+        load_point_cloud(path)
+
+
+@pytest.mark.parametrize("count", ["abc", "-2", "2.5"])
+def test_ply_bad_vertex_count(tmp_path, count):
+    path = tmp_path / "bad.ply"
+    path.write_text(
+        f"ply\nformat ascii 1.0\nelement vertex {count}\n"
+        "property float x\nproperty float y\nproperty float z\n"
+        "end_header\n0 0 0\n1 2 3\n"
+    )
+    with pytest.raises(ParseError, match="vertex count"):
         load_point_cloud(path)
 
 
@@ -119,15 +129,8 @@ def test_grid_coordinate_round_trip():
 
 def test_world_to_grid_out_of_bounds():
     grid = OccupancyGrid((2, 2, 2), GridBounds((0, 0, 0), 1.0), np.zeros((2, 2, 2), bool))
-    with pytest.raises(OutOfBounds):
+    with pytest.raises(OutOfBounds, match=r"point \(2\.0, 0\.0, 0\.0\) outside"):
         grid.world_to_grid((2.0, 0.0, 0.0))  # exactly the upper face is outside
-
-
-def test_default_bounds_inflates_by_one_voxel():
-    cloud = PointCloud(np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]]))
-    bounds = default_bounds(cloud, (12, 12, 12))
-    assert bounds.voxel_size == pytest.approx(1.0 / 10)
-    assert np.all(np.asarray(bounds.min_corner) < 0)
 
 
 @pytest.mark.parametrize(
