@@ -18,6 +18,8 @@ from .scene import GridBounds, OccupancyGrid
 
 # larger than any reachable squared cell distance for practical grids
 _INF = np.int64(1) << 50
+# (dx, dy, dz) offsets of a lattice cell's 8 corners, shape (2, 2, 2, 3)
+_CORNER_OFFSETS = np.stack(np.meshgrid((0, 1), (0, 1), (0, 1), indexing="ij"), axis=-1)
 
 
 def sentinel_distance(dims, voxel_size: float) -> float:
@@ -41,94 +43,55 @@ class DistanceField:
     def voxel_size(self) -> float:
         return self.bounds.voxel_size
 
-    def _continuous_coords(self, p):
-        """Lattice coords of world points relative to voxel centers,
-        clamped to the lattice; returns (coords, clamped_mask)."""
+    def _corners(self, p):
+        """Interpolation weights and corner values of the lattice cell
+        enclosing world point(s) ``p`` (shape (..., 3)), clamped to the
+        lattice: ``w[..., axis, k]`` is ``1 - f`` for k = 0 and ``f`` for
+        k = 1, and ``c[..., dx, dy, dz]`` the distance at that corner."""
         p = np.asarray(p, dtype=np.float64)
-        q = (p - np.asarray(self.bounds.min_corner)) / self.voxel_size - 0.5
-        hi = np.asarray(self.dims, dtype=np.float64) - 1.0
-        qc = np.clip(q, 0.0, hi)
-        clamped = np.any(qc != q, axis=-1)
-        return qc, clamped
+        hi = np.asarray(self.dims) - 1
+        q = np.clip((p - np.asarray(self.bounds.min_corner)) / self.voxel_size - 0.5, 0.0, hi)
+        base = np.clip(np.floor(q).astype(np.int64), 0, np.maximum(hi - 1, 0))
+        f = q - base
+        idx = np.minimum(base[..., None, None, None, :] + _CORNER_OFFSETS, hi)
+        c = self.distance[idx[..., 0], idx[..., 1], idx[..., 2]]
+        return np.stack([1 - f, f], axis=-1), c
 
-    def _cell(self, q):
-        """Enclosing-cell base index and fractional offset for clamped
-        lattice coords ``q``."""
-        base = np.minimum(np.floor(q).astype(np.int64), np.maximum(np.asarray(self.dims) - 2, 0))
-        base = np.maximum(base, 0)
-        return base, q - base
-
-    def sample(self, p, return_clamped: bool = False):
+    def sample(self, p):
         """Trilinear interpolation of the distance lattice at world
         point(s) ``p`` (shape (..., 3))."""
-        q, clamped = self._continuous_coords(p)
-        base, f = self._cell(q)
-        hi = np.asarray(self.dims) - 1
-        val = np.zeros(q.shape[:-1], dtype=np.float64)
-        for dx in (0, 1):
-            wx = f[..., 0] if dx else 1.0 - f[..., 0]
-            ix = np.minimum(base[..., 0] + dx, hi[0])
-            for dy in (0, 1):
-                wy = f[..., 1] if dy else 1.0 - f[..., 1]
-                iy = np.minimum(base[..., 1] + dy, hi[1])
-                for dz in (0, 1):
-                    wz = f[..., 2] if dz else 1.0 - f[..., 2]
-                    iz = np.minimum(base[..., 2] + dz, hi[2])
-                    val += wx * wy * wz * self.distance[ix, iy, iz]
-        if return_clamped:
-            return val, clamped
+        w, c = self._corners(p)
+        wxyz = w[..., 0, :, None, None] * w[..., 1, None, :, None] * w[..., 2, None, None, :]
+        terms = (wxyz * c).reshape(c.shape[:-3] + (8,))
+        val = np.zeros(c.shape[:-3], dtype=np.float64)
+        for k in range(8):  # corner order (dx, dy, dz) = 000, 001, ..., 111
+            val += terms[..., k]
         return val
 
     def gradient(self, p) -> np.ndarray:
         """Spatial gradient of the trilinear interpolant (per meter),
         piecewise multilinear within each lattice cell."""
-        q, _ = self._continuous_coords(p)
-        base, f = self._cell(q)
-        hi = np.asarray(self.dims) - 1
-        c = np.empty(q.shape[:-1] + (2, 2, 2), dtype=np.float64)
-        for dx in (0, 1):
-            for dy in (0, 1):
-                for dz in (0, 1):
-                    c[..., dx, dy, dz] = self.distance[
-                        np.minimum(base[..., 0] + dx, hi[0]),
-                        np.minimum(base[..., 1] + dy, hi[1]),
-                        np.minimum(base[..., 2] + dz, hi[2]),
-                    ]
-        fx, fy, fz = f[..., 0], f[..., 1], f[..., 2]
-        gx = (
-            (1 - fy) * (1 - fz) * (c[..., 1, 0, 0] - c[..., 0, 0, 0])
-            + fy * (1 - fz) * (c[..., 1, 1, 0] - c[..., 0, 1, 0])
-            + (1 - fy) * fz * (c[..., 1, 0, 1] - c[..., 0, 0, 1])
-            + fy * fz * (c[..., 1, 1, 1] - c[..., 0, 1, 1])
-        )
-        gy = (
-            (1 - fx) * (1 - fz) * (c[..., 0, 1, 0] - c[..., 0, 0, 0])
-            + fx * (1 - fz) * (c[..., 1, 1, 0] - c[..., 1, 0, 0])
-            + (1 - fx) * fz * (c[..., 0, 1, 1] - c[..., 0, 0, 1])
-            + fx * fz * (c[..., 1, 1, 1] - c[..., 1, 0, 1])
-        )
-        gz = (
-            (1 - fx) * (1 - fy) * (c[..., 0, 0, 1] - c[..., 0, 0, 0])
-            + fx * (1 - fy) * (c[..., 1, 0, 1] - c[..., 1, 0, 0])
-            + (1 - fx) * fy * (c[..., 0, 1, 1] - c[..., 0, 1, 0])
-            + fx * fy * (c[..., 1, 1, 1] - c[..., 1, 1, 0])
-        )
-        return np.stack([gx, gy, gz], axis=-1) / self.voxel_size
+        w, c = self._corners(p)
+        g = []
+        for axis in range(3):
+            a, b = (k for k in range(3) if k != axis)
+            # (..., 2, 2) corner differences along ``axis``, indexed by (a, b)
+            diff = np.take(c, 1, axis=axis - 3) - np.take(c, 0, axis=axis - 3)
+            t = (w[..., a, :, None] * w[..., b, None, :]) * diff
+            g.append(t[..., 0, 0] + t[..., 1, 0] + t[..., 0, 1] + t[..., 1, 1])
+        return np.stack(g, axis=-1) / self.voxel_size
 
 
-def _dt1d_sq(f: np.ndarray) -> np.ndarray:
-    """Squared-distance 1D pass along the last axis of an integer array:
-    out[..., i] = min_j f[..., j] + (i - j)^2."""
-    n = f.shape[-1]
-    i = np.arange(n, dtype=np.int64)
-    sq = (i[:, None] - i[None, :]) ** 2  # (i, j)
-    flat = f.reshape(-1, n)
-    out = np.empty_like(flat)
-    chunk = max(1, (1 << 22) // (n * n))  # cap working set
-    for s in range(0, flat.shape[0], chunk):
-        block = flat[s : s + chunk]  # (m, n)
-        out[s : s + chunk] = (block[:, None, :] + sq[None, :, :]).min(axis=2)
-    return out.reshape(f.shape)
+def _edt_pass(f: np.ndarray, axis: int) -> np.ndarray:
+    """Squared-distance 1D pass along ``axis`` of an integer array:
+    out[i] = min_j f[j] + (i - j)^2, one offset d = |i - j| at a time."""
+    out = f.copy()
+    lead = (slice(None),) * axis
+    for d in range(1, f.shape[axis]):
+        lo, hi = lead + (slice(None, -d),), lead + (slice(d, None),)
+        np.minimum(out[hi], f[lo] + d * d, out=out[hi])
+        np.minimum(out[lo], f[hi] + d * d, out=out[lo])
+    return out
 
 
 def compute_edt(grid: OccupancyGrid) -> DistanceField:
@@ -141,6 +104,6 @@ def compute_edt(grid: OccupancyGrid) -> DistanceField:
         return DistanceField(grid.dims, grid.bounds, dist)
     sq = np.where(occ, np.int64(0), _INF)
     for axis in (2, 1, 0):
-        sq = np.moveaxis(_dt1d_sq(np.moveaxis(sq, axis, -1)), -1, axis)
+        sq = _edt_pass(sq, axis)
     dist = np.sqrt(sq.astype(np.float64)) * grid.voxel_size
     return DistanceField(grid.dims, grid.bounds, dist)

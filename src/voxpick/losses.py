@@ -8,22 +8,11 @@ away from matter.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
 from .distance_field import DistanceField
-
-# self-test fault hook: name of a loss whose gradient gets corrupted,
-# used by `voxpick check --corrupt-gradient` to prove the harness bites
-_FAULT: Optional[str] = None
-
-
-def _apply_fault(name: str, grad: np.ndarray) -> np.ndarray:
-    if _FAULT == name and grad.size:
-        grad = grad.copy()
-        grad.flat[0] += 1.0
-    return grad
 
 
 def loss_length(P: np.ndarray) -> Tuple[float, np.ndarray]:
@@ -36,7 +25,7 @@ def loss_length(P: np.ndarray) -> Tuple[float, np.ndarray]:
     value = float(np.einsum("ij,ij->", d, d))
     grad[:-1] -= 2.0 * d
     grad[1:] += 2.0 * d
-    return value, _apply_fault("loss_length", grad)
+    return value, grad
 
 
 def loss_acc(P: np.ndarray) -> Tuple[float, np.ndarray]:
@@ -50,7 +39,7 @@ def loss_acc(P: np.ndarray) -> Tuple[float, np.ndarray]:
     grad[:-2] += a
     grad[1:-1] -= 2.0 * a
     grad[2:] += a
-    return value, _apply_fault("loss_acc", grad)
+    return value, grad
 
 
 def loss_curv(P: np.ndarray, eps_curv: float = 1e-6) -> Tuple[float, np.ndarray]:
@@ -73,7 +62,7 @@ def loss_curv(P: np.ndarray, eps_curv: float = 1e-6) -> Tuple[float, np.ndarray]
     grad[:-2] += -gv + ga
     grad[1:-1] += gv - 2.0 * ga
     grad[2:] += ga
-    return value, _apply_fault("loss_curv", grad)
+    return value, grad
 
 
 def loss_col(
@@ -85,4 +74,4 @@ def loss_col(
     viol = np.maximum(d_safe - d, 0.0)
     value = 0.5 * float(np.sum(viol**2))
     grad = -viol[:, None] * field.gradient(P)
-    return value, _apply_fault("loss_col", grad)
+    return value, grad

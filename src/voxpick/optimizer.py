@@ -131,22 +131,12 @@ def _optimize_points(
     m = np.zeros_like(P)
     v = np.zeros_like(P)
     b1, b2, eps = ADAM_BETA1, ADAM_BETA2, ADAM_EPS
-    best = {True: None, False: None}  # keyed by feasibility (L_col == 0)
-
-    def consider(terms: LossTerms, points: np.ndarray) -> None:
-        feasible = terms.col == 0.0
-        cur = best[feasible]
-        if cur is None or terms.total < cur[0].total:
-            best[feasible] = (terms, points.copy())
-
-    consider(terms0, P)
-    trace = [terms0.total]
+    iterates = [(terms0, P)]  # P is rebound, never written in place
     for t in range(1, config.iterations + 1):
         terms, grad = evaluate_losses(P, field, config)
         if not np.isfinite(terms.total) or not np.isfinite(grad).all():
             raise NonFiniteLoss("objective became non-finite", iteration=t)
-        consider(terms, P)
-        trace.append(terms.total)
+        iterates.append((terms, P))
         grad[0] = 0.0
         grad[-1] = 0.0
         m = b1 * m + (1.0 - b1) * grad
@@ -158,18 +148,17 @@ def _optimize_points(
     terms, _ = evaluate_losses(P, field, config)
     if not np.isfinite(terms.total):
         raise NonFiniteLoss("objective became non-finite", iteration=config.iterations)
-    consider(terms, P)
-    trace.append(terms.total)
+    iterates.append((terms, P))
 
-    pick = best[True]
-    if pick is None or pick[0].total > terms0.total:
-        # no collision-free iterate improved on the input: fall back to
-        # the lowest objective seen overall (the input is a candidate)
-        pick = min(
-            (b for b in best.values() if b is not None), key=lambda b: b[0].total
-        )
-    best_terms, best_P = pick
-    return best_P, terms0, best_terms, trace
+    # a collision-free iterate no worse than the input, else the lowest
+    # total; min keeps the earliest of equals. A collision-free iterate
+    # tied for the lowest total is no worse than the input, so it wins the
+    # tie against a colliding one.
+    best_terms, best_P = min(
+        iterates,
+        key=lambda it: (not (it[0].col == 0.0 and it[0].total <= terms0.total), it[0].total),
+    )
+    return best_P, terms0, best_terms, [terms.total for terms, _ in iterates]
 
 
 def optimize_trajectory(
@@ -180,7 +169,8 @@ def optimize_trajectory(
     """Optimize the three sub-trajectories independently.
 
     Endpoints of each sub-trajectory are returned bit-identical to the
-    input, so the stage junctions stay pinned to the scenario keypoints.
+    input, so the stage junctions stay pinned to the scenario keypoints:
+    their gradient rows are zeroed, so Adam's step on them is exactly 0.
     """
     subs = []
     per_before: Dict[str, LossTerms] = {}
@@ -188,9 +178,6 @@ def optimize_trajectory(
     trace: Dict[str, List[float]] = {}
     for sub in traj.subs:
         P, terms0, terms1, tr = _optimize_points(sub.points, field, config)
-        P = np.array(P)
-        P[0] = sub.points[0]
-        P[-1] = sub.points[-1]
         subs.append(replace(sub, points=P))
         per_before[sub.stage.value] = terms0
         per_after[sub.stage.value] = terms1

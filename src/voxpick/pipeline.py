@@ -72,9 +72,10 @@ class Scenario:
             ("effector_start", self.spec.effector_start),
             ("object_position", self.spec.object_position),
             ("place_target", self.spec.place_target),
+            ("grasp_point", self.spec.grasp_point()),
         ):
             p = np.asarray(p)
-            if np.any(p < lo) or np.any(p >= hi):
+            if not (np.all(p >= lo) and np.all(p < hi)):  # NaN fails
                 raise ParseError(f"{name} {tuple(p.tolist())} outside grid bounds")
 
 
@@ -254,15 +255,36 @@ def _prim_to_dict(p) -> dict:
     raise ParseError(f"unknown primitive {type(p).__name__}")
 
 
+def _finite(value, name: str):
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise ParseError(f"{name} must be a finite number, got {value!r}")
+    return value
+
+
+def _vec3(value, name: str) -> tuple:
+    if not isinstance(value, (list, tuple)) or len(value) != 3:
+        raise ParseError(f"{name} must be a list of 3 numbers, got {value!r}")
+    return tuple(_finite(v, name) for v in value)
+
+
 def _prim_from_dict(d: dict):
     try:
         kind = d["type"]
         if kind == "box":
-            return Box(tuple(d["min_m"]), tuple(d["max_m"]), d.get("name", "box"))
+            return Box(_vec3(d["min_m"], "box.min_m"), _vec3(d["max_m"], "box.max_m"),
+                       d.get("name", "box"))
         if kind == "sphere":
-            return Sphere(tuple(d["center_m"]), float(d["radius_m"]), d.get("name", "sphere"))
+            radius = float(_finite(d["radius_m"], "sphere.radius_m"))
+            if radius <= 0:
+                raise ParseError(f"sphere.radius_m must be positive, got {radius}")
+            return Sphere(_vec3(d["center_m"], "sphere.center_m"), radius, d.get("name", "sphere"))
         if kind == "plane":
-            return Plane(int(d["axis"]), float(d["offset_m"]), d.get("side", "below"),
+            axis, side = _non_negative_int(d["axis"], "plane.axis"), d.get("side", "below")
+            if axis > 2:
+                raise ParseError(f"plane.axis must be 0, 1 or 2, got {axis!r}")
+            if side not in ("below", "above"):
+                raise ParseError(f"plane.side must be 'below' or 'above', got {side!r}")
+            return Plane(axis, float(_finite(d["offset_m"], "plane.offset_m")), side,
                          d.get("name", "plane"))
     except (KeyError, TypeError, ValueError) as e:
         raise ParseError(f"bad primitive entry {d}: {e}") from e

@@ -43,10 +43,17 @@ class CameraModel:
     def __post_init__(self):
         R = np.asarray(self.rotation, dtype=np.float64).reshape(3, 3)
         t = np.asarray(self.translation, dtype=np.float64).reshape(3)
+        if not (self.width >= 1 and self.height >= 1):
+            raise ValueError(f"image must be at least 1x1 px: {self.width}x{self.height}")
+        if not np.isfinite([self.fx, self.fy, self.cx, self.cy]).all():
+            raise ValueError("intrinsics must be finite")
         if self.fx <= 0 or self.fy <= 0:
             raise ValueError(f"focal lengths must be positive: fx={self.fx} fy={self.fy}")
-        if np.linalg.norm(R.T @ R - np.eye(3)) >= 1e-9:
+        # written so that a NaN norm fails too
+        if not np.linalg.norm(R.T @ R - np.eye(3)) < 1e-9:
             raise ValueError("rotation is not orthonormal")
+        if not np.isfinite(t).all():
+            raise ValueError("translation must be finite")
         R.setflags(write=False)
         t.setflags(write=False)
         object.__setattr__(self, "rotation", R)

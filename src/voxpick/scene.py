@@ -45,6 +45,8 @@ class GridBounds:
     def __post_init__(self):
         if not (self.voxel_size > 0 and np.isfinite(self.voxel_size)):
             raise DegenerateBounds(f"voxel_size must be positive, got {self.voxel_size}")
+        if not np.isfinite(np.asarray(self.min_corner, dtype=np.float64)).all():
+            raise DegenerateBounds(f"min_corner must be finite, got {self.min_corner}")
         object.__setattr__(self, "min_corner", tuple(float(c) for c in self.min_corner))
 
 

@@ -7,9 +7,10 @@ suite's acceptance module runs the same checks through pytest.
 
 from __future__ import annotations
 
+import contextlib
 import time
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Iterator, List, Optional
 
 import numpy as np
 
@@ -311,11 +312,31 @@ def check_mask_contract(bundle=None) -> str:
     return f"{len(masks)} frames match the per-pixel oracle; palette closed"
 
 
+@contextlib.contextmanager
+def corrupted_gradient(name: str) -> Iterator[None]:
+    """Within the block, ``voxpick.losses.<name>`` returns its analytic
+    gradient with 1.0 added to the first component, so the gradient check
+    must fail. Callers that imported the loss by name (the optimizer) keep
+    the original."""
+    original = getattr(losses, name)
+
+    def corrupted(*args, **kwargs):
+        value, grad = original(*args, **kwargs)
+        grad = grad.copy()
+        grad.flat[0] += 1.0
+        return value, grad
+
+    setattr(losses, name, corrupted)
+    try:
+        yield
+    finally:
+        setattr(losses, name, original)
+
+
 def run_checks(corrupt_gradient: Optional[str] = None) -> List[CheckResult]:
     """Run acceptance checks 1-8; ``corrupt_gradient`` names a loss whose
-    analytic gradient is deliberately broken (fault-injection hook)."""
-    losses._FAULT = corrupt_gradient
-    try:
+    analytic gradient is deliberately broken (see ``corrupted_gradient``)."""
+    with corrupted_gradient(corrupt_gradient) if corrupt_gradient else contextlib.nullcontext():
         bundle = _sink_bundle()
         checks: List[tuple] = [
             ("edt-exactness", check_edt_exactness),
@@ -338,5 +359,3 @@ def run_checks(corrupt_gradient: Optional[str] = None) -> List[CheckResult]:
                 ok = False
             results.append(CheckResult(name, ok, detail, time.perf_counter() - t0))
         return results
-    finally:
-        losses._FAULT = None

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -227,6 +228,57 @@ def test_out_of_bounds_keypoint_prints_plain_floats(planned, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:parse:parse: effector_start (6.8, 6.4, 13.0) outside")
     assert "np.float64" not in err
+
+
+def _nan_first(key):
+    def edit(d):
+        d["scene"][key][0] = float("nan")
+
+    return edit
+
+
+def _add_primitive(prim):
+    return lambda d: d["scene"]["primitives"].append(prim)
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda d: d["camera"].update(width_px=0),
+        lambda d: d["camera"].update(height_px=0),
+        lambda d: d["camera"].update(fx_px=float("nan")),
+        lambda d: d["camera"].update(cx_px=float("inf")),
+        lambda d: d["camera"].update(translation_m=[float("nan"), 0.0, 0.0]),
+        lambda d: d["camera"].update(rotation=[[float("nan")] * 3] * 3),
+        _nan_first("effector_start_m"),
+        _nan_first("place_target_m"),
+        lambda d: d["scene"].update(grasp_offset_m=[0.0, 0.0, 100.0]),
+        lambda d: d["scene"].update(grasp_offset_m=[float("nan"), 0.0, 0.0]),
+        lambda d: d["grid"].update(min_corner_m=[float("nan"), 0.0, 0.0]),
+        _add_primitive({"type": "plane", "axis": 3, "offset_m": 1.0}),
+        _add_primitive({"type": "plane", "axis": 1.7, "offset_m": 1.0}),
+        _add_primitive({"type": "plane", "axis": 2, "offset_m": 100.0, "side": "up"}),
+        _add_primitive({"type": "plane", "axis": 2, "offset_m": float("nan")}),
+        _add_primitive({"type": "box", "min_m": [0.0, 0.0], "max_m": [1.0, 1.0]}),
+        _add_primitive({"type": "box", "min_m": [0.0, 0.0, 0.0], "max_m": "abc"}),
+        _add_primitive({"type": "sphere", "center_m": "abc", "radius_m": 1.0}),
+        _add_primitive({"type": "sphere", "center_m": [1.0, 1.0, 1.0], "radius_m": -1.0}),
+    ],
+    ids=[
+        "width-0", "height-0", "fx-nan", "cx-inf", "translation-nan", "rotation-nan",
+        "effector-start-nan", "place-target-nan", "grasp-point-outside", "grasp-offset-nan",
+        "min-corner-nan", "plane-axis-3", "plane-axis-1.7", "plane-side-up", "plane-offset-nan",
+        "box-2-element-corner", "box-corner-string", "sphere-center-string", "sphere-radius-neg",
+    ],
+)
+def test_plan_rejects_bad_camera_keypoints_and_primitives(planned, tmp_path, capsys, edit):
+    # a numpy RuntimeWarning on the way to the error would be a second line
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = _plan_edited(planned, tmp_path, edit)
+    lines = capsys.readouterr().err.splitlines()
+    assert rc == 2
+    assert len(lines) == 1 and lines[0].startswith("error:"), lines
 
 
 def test_check_detects_injected_gradient_fault(capsys):

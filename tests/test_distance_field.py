@@ -24,7 +24,7 @@ def test_single_voxel_distances():
 
 def test_matches_brute_force_on_random_grids(rng):
     for _ in range(20):
-        dims = tuple(rng.integers(2, 9, size=3))
+        dims = tuple(rng.integers(1, 9, size=3))  # dims of 1 included
         occ = rng.random(dims) < 0.3
         if not occ.any():
             continue
@@ -74,8 +74,6 @@ def test_out_of_bounds_queries_clamp():
     far = fld.sample(np.array([100.0, 100.0, 100.0]))
     corner = fld.sample(np.array([3.5, 3.5, 3.5]))
     assert far == pytest.approx(corner)
-    _, clamped = fld.sample(np.array([100.0, 0.5, 0.5]), return_clamped=True)
-    assert clamped
 
 
 def test_gradient_matches_finite_differences(rng):
@@ -92,3 +90,86 @@ def test_gradient_matches_finite_differences(rng):
         lambda Q: float(np.sum(fld.sample(Q))), P, h=grid.voxel_size / 200.0
     )
     np.testing.assert_allclose(analytic, numeric, atol=1e-6)
+
+
+def _sample_reference(fld, p):
+    """Trilinear sample gathering one corner at a time: the arithmetic, in
+    the order, that DistanceField.sample must reproduce bit for bit."""
+    q, base, f, hi = _cell_reference(fld, p)
+    val = np.zeros(q.shape[:-1], dtype=np.float64)
+    for dx in (0, 1):
+        wx = f[..., 0] if dx else 1.0 - f[..., 0]
+        ix = np.minimum(base[..., 0] + dx, hi[0])
+        for dy in (0, 1):
+            wy = f[..., 1] if dy else 1.0 - f[..., 1]
+            iy = np.minimum(base[..., 1] + dy, hi[1])
+            for dz in (0, 1):
+                wz = f[..., 2] if dz else 1.0 - f[..., 2]
+                iz = np.minimum(base[..., 2] + dz, hi[2])
+                val += wx * wy * wz * fld.distance[ix, iy, iz]
+    return val
+
+
+def _gradient_reference(fld, p):
+    """Gradient of the trilinear interpolant written out per axis: the
+    reference for DistanceField.gradient."""
+    q, base, f, hi = _cell_reference(fld, p)
+    c = np.empty(q.shape[:-1] + (2, 2, 2), dtype=np.float64)
+    for dx in (0, 1):
+        for dy in (0, 1):
+            for dz in (0, 1):
+                c[..., dx, dy, dz] = fld.distance[
+                    np.minimum(base[..., 0] + dx, hi[0]),
+                    np.minimum(base[..., 1] + dy, hi[1]),
+                    np.minimum(base[..., 2] + dz, hi[2]),
+                ]
+    fx, fy, fz = f[..., 0], f[..., 1], f[..., 2]
+    gx = (
+        (1 - fy) * (1 - fz) * (c[..., 1, 0, 0] - c[..., 0, 0, 0])
+        + fy * (1 - fz) * (c[..., 1, 1, 0] - c[..., 0, 1, 0])
+        + (1 - fy) * fz * (c[..., 1, 0, 1] - c[..., 0, 0, 1])
+        + fy * fz * (c[..., 1, 1, 1] - c[..., 0, 1, 1])
+    )
+    gy = (
+        (1 - fx) * (1 - fz) * (c[..., 0, 1, 0] - c[..., 0, 0, 0])
+        + fx * (1 - fz) * (c[..., 1, 1, 0] - c[..., 1, 0, 0])
+        + (1 - fx) * fz * (c[..., 0, 1, 1] - c[..., 0, 0, 1])
+        + fx * fz * (c[..., 1, 1, 1] - c[..., 1, 0, 1])
+    )
+    gz = (
+        (1 - fx) * (1 - fy) * (c[..., 0, 0, 1] - c[..., 0, 0, 0])
+        + fx * (1 - fy) * (c[..., 1, 0, 1] - c[..., 1, 0, 0])
+        + (1 - fx) * fy * (c[..., 0, 1, 1] - c[..., 0, 1, 0])
+        + fx * fy * (c[..., 1, 1, 1] - c[..., 1, 1, 0])
+    )
+    return np.stack([gx, gy, gz], axis=-1) / fld.voxel_size
+
+
+def _cell_reference(fld, p):
+    """Lattice coords clamped to the voxel centers, the enclosing cell's
+    base index and fractional offset, and the largest index per axis."""
+    p = np.asarray(p, dtype=np.float64)
+    q = (p - np.asarray(fld.bounds.min_corner)) / fld.voxel_size - 0.5
+    q = np.clip(q, 0.0, np.asarray(fld.dims, dtype=np.float64) - 1.0)
+    base = np.minimum(np.floor(q).astype(np.int64), np.maximum(np.asarray(fld.dims) - 2, 0))
+    base = np.maximum(base, 0)
+    return q, base, q - base, np.asarray(fld.dims) - 1
+
+
+def test_sample_and_gradient_match_the_per_corner_reference(rng):
+    # dims of 1 and 2 exercise the clamped upper corner; points reach past
+    # every face of the grid
+    for _ in range(40):
+        dims = tuple(int(d) for d in rng.integers(1, 5, size=3))
+        occ = rng.random(dims) < 0.3
+        occ.flat[rng.integers(occ.size)] = True
+        fld = compute_edt(_grid(occ))
+        extent = np.asarray(dims) * fld.voxel_size
+        for shape in ((3,), (9, 3), (4, 5, 3)):
+            p = rng.uniform(-0.15, 1.15, size=shape) * extent
+            for got, want in (
+                (fld.sample(p), _sample_reference(fld, p)),
+                (fld.gradient(p), _gradient_reference(fld, p)),
+            ):
+                assert got.shape == want.shape
+                assert np.array_equal(got, want)

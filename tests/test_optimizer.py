@@ -7,7 +7,9 @@ import pytest
 from voxpick.distance_field import compute_edt
 from voxpick.errors import NonFiniteLoss
 from voxpick.grid_planner import Stage, SubTrajectory, Trajectory
+from voxpick import optimizer
 from voxpick.optimizer import (
+    LossTerms,
     PlannerConfig,
     _optimize_points,
     evaluate_losses,
@@ -78,6 +80,42 @@ def test_feasible_iterates_win_over_lower_objective():
     if after.total < terms0.total:  # optimizer found an improvement
         assert after.col == 0.0
         assert fld.sample(P[1:-1]).min() >= cfg.d_safe - 1e-9
+
+
+def _kept_iterate(monkeypatch, script):
+    """Index of the iterate _optimize_points keeps when the objective
+    returns the scripted (col, total) pairs in order: the input, then one
+    per iteration, then the final iterate."""
+    terms = [LossTerms(col=c, length=0.0, acc=0.0, curv=0.0, total=t) for c, t in script]
+    calls = iter(terms)
+    monkeypatch.setattr(
+        optimizer, "evaluate_losses", lambda P, fld, cfg: (next(calls), np.ones_like(P))
+    )
+    cfg = PlannerConfig(iterations=len(script) - 2)
+    _, _, after, trace = _optimize_points(np.zeros((4, 3)), None, cfg)
+    assert trace == [t for _, t in script]
+    return next(k for k, t in enumerate(terms) if t is after)
+
+
+@pytest.mark.parametrize(
+    "script, kept",
+    [
+        # no collision-free iterate: the lowest total, earliest of equals
+        ([(1.0, 5.0), (1.0, 4.0), (1.0, 3.0), (1.0, 3.0), (1.0, 3.5)], 2),
+        # collision-free iterates all worse than a colliding input: the input
+        ([(1.0, 2.0), (0.0, 3.0), (1.0, 2.5), (0.0, 2.8)], 0),
+        # a collision-free iterate beats a colliding one with a lower total
+        ([(1.0, 5.0), (1.0, 1.0), (0.0, 3.0), (1.0, 4.0)], 2),
+        # a tie on the total goes to the collision-free iterate
+        ([(1.0, 5.0), (1.0, 3.0), (0.0, 3.0), (1.0, 4.0)], 2),
+        # collision-free iterates tied on the total: the earliest
+        ([(1.0, 5.0), (0.0, 3.0), (0.0, 3.0), (0.0, 4.0)], 1),
+        # a collision-free input no iterate improves on
+        ([(0.0, 2.0), (1.0, 1.0), (0.0, 2.5), (0.0, 2.0)], 0),
+    ],
+)
+def test_iterate_choice(monkeypatch, script, kept):
+    assert _kept_iterate(monkeypatch, script) == kept
 
 
 def test_non_finite_input_raises():

@@ -131,6 +131,9 @@ def test_endpoint_drift_is_an_error_not_an_assert(monkeypatch):
 # sha256 of the sink template's bundle, hashed as perfbench/run.py's
 # tree_digest does; a change that alters any bundle byte must say so
 SINK_BUNDLE_SHA256 = "b7af15934df67f4517e6e7905c5398f57c8811973a4542848ed556d1898423fe"
+# the same for the sink with its rim raised into a divider (the partition
+# benchmark's scenario before keypoint jitter)
+PARTITION_BUNDLE_SHA256 = "c5357f4c468cc1f722fcce118906ffbcdc5c3dc362ef394032b842836a026efd"
 
 
 def _tree_digest(root):
@@ -147,6 +150,19 @@ def _tree_digest(root):
 def test_sink_bundle_bytes_are_pinned(sink_bundle, tmp_path):
     write_bundle(sink_bundle, tmp_path / "bundle")
     assert _tree_digest(tmp_path / "bundle") == SINK_BUNDLE_SHA256
+
+
+def test_partition_bundle_bytes_are_pinned(tmp_path):
+    d = scenario_to_dict(sink_scenario())
+    (rim,) = [p for p in d["scene"]["primitives"] if p["name"] == "rim"]
+    rim["min_m"][1] = 0.4
+    rim["max_m"][1] = 12.4
+    rim["max_m"][2] = 10.0
+    bundle = run(scenario_from_dict(d))
+    # every leg ends colliding: the bytes pin the optimizer's fallback choice
+    assert all(t.col > 0.0 for t in bundle.loss_report.per_stage_after.values())
+    write_bundle(bundle, tmp_path / "bundle")
+    assert _tree_digest(tmp_path / "bundle") == PARTITION_BUNDLE_SHA256
 
 
 def _tree_bytes(root):
