@@ -23,14 +23,14 @@ from typing import List, Optional
 import numpy as np
 
 from .errors import CorruptBundle, OracleMismatch, ParseError, VoxpickError
-from .grid_planner import Stage
+from .grid_planner import STAGE_ORDER, Stage
 from .optimizer import PlannerConfig
 from .pipeline import Scenario, load_scenario, mask_actors, run, save_scenario, write_bundle
 from .projection import render_guidance_masks, write_pgm
 from .scene import Box
 from .selfcheck import run_checks
-from .templates import make_template
-from .time_alloc import GripperState, TimedFrame, TimedTrajectory, VelocityProfile
+from .templates import TEMPLATES, make_template
+from .time_alloc import STAGE_GRIPPER, GripperState, TimedTrajectory, VelocityProfile, sine_fit
 
 
 def _add_config_overrides(p: argparse.ArgumentParser) -> None:
@@ -169,7 +169,7 @@ def report_tables(bundle_dir: str) -> dict:
     initial = _timed_from_bundle(bundle_dir, "trajectory_initial.jsonl")
     optimized = _timed_from_bundle(bundle_dir, "trajectory_optimized.jsonl")
     sine_fit_rows = [
-        (stage.value, [_sine_fit(initial, stage), _sine_fit(optimized, stage)])
+        (stage.value, [sine_fit(initial, stage), sine_fit(optimized, stage)])
         for stage in Stage
     ]
     return {
@@ -181,17 +181,6 @@ def report_tables(bundle_dir: str) -> dict:
         "arc_length_optimized_m": metrics["arc_length_optimized_m"],
         "arc_length_timed_m": metrics["arc_length_timed_m"],
     }
-
-
-def _sine_fit(timed: TimedTrajectory, stage: Stage) -> float:
-    """Largest |chord speed / the stage's top chord speed - sin(pi (i + 1/2) / n)|
-    over the stage's n chords (nan if it has none); a chord belongs to the
-    stage of its first frame."""
-    s = timed.speeds()[[f.stage is stage for f in timed.frames[:-1]]]
-    if not len(s):
-        return float("nan")
-    target = np.sin(np.pi * (np.arange(len(s)) + 0.5) / len(s))
-    return float(np.abs(s / s.max() - target).max())
 
 
 def cmd_report(args) -> int:
@@ -217,27 +206,31 @@ def cmd_report(args) -> int:
 
 
 def _timed_from_bundle(bundle_dir: str, name: str) -> TimedTrajectory:
+    """Read a trajectory file; record k must be frame k, carry the gripper
+    state of its stage, and the stages must run approach -> manipulate ->
+    back_idle."""
     path = os.path.join(bundle_dir, name)
-    frames: List[TimedFrame] = []
+    positions, stages = [], []
     try:
         with open(path, "r", encoding="ascii") as fh:
             for line_no, line in enumerate(fh):
                 rec = json.loads(line)
-                frames.append(
-                    TimedFrame(
-                        index=int(rec["frame"]),
-                        position=np.array([rec["x_m"], rec["y_m"], rec["z_m"]]),
-                        stage=Stage(rec["stage"]),
-                        gripper=GripperState(rec["gripper"]),
-                    )
-                )
+                stage = Stage(rec["stage"])
+                if rec["frame"] != line_no:
+                    raise ValueError(f"frame {rec['frame']!r}, expected {line_no}")
+                if GripperState(rec["gripper"]) is not STAGE_GRIPPER[stage]:
+                    raise ValueError(f"gripper {rec['gripper']!r} in stage {stage.value!r}")
+                if stages and STAGE_ORDER.index(stage) < STAGE_ORDER.index(stages[-1]):
+                    raise ValueError(f"stage {stage.value!r} after {stages[-1].value!r}")
+                positions.append([float(rec[k]) for k in ("x_m", "y_m", "z_m")])
+                stages.append(stage)
     except OSError as e:
         raise CorruptBundle(f"cannot read {path}: {e}") from e
-    except (json.JSONDecodeError, KeyError, ValueError) as e:
+    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as e:
         raise CorruptBundle(f"{path} line {line_no + 1}: {e}") from e
-    if not frames:
+    if not stages:
         raise CorruptBundle(f"{path}: no frames")
-    return TimedTrajectory(frames=tuple(frames))
+    return TimedTrajectory(np.array(positions), tuple(stages))
 
 
 def cmd_masks(args) -> int:
@@ -273,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("synth", help="write a scenario file from a template")
-    sp.add_argument("--template", choices=["sink", "empty"], default="sink")
+    sp.add_argument("--template", choices=list(TEMPLATES), default="sink")
     sp.add_argument("--out", required=True, help="scenario JSON output path")
     sp.add_argument(
         "--grasp-offset", type=float, nargs=3, metavar=("DX", "DY", "DZ"),

@@ -91,16 +91,11 @@ def dilate_chebyshev(occ: np.ndarray, clearance: int) -> np.ndarray:
     out = occ
     for axis in range(3):
         acc = out.copy()
+        lead = (slice(None),) * axis
         for shift in range(1, clearance + 1):
-            lead = np.zeros_like(out)
-            trail = np.zeros_like(out)
-            src = [slice(None)] * 3
-            dst = [slice(None)] * 3
-            src[axis] = slice(shift, None)
-            dst[axis] = slice(None, -shift)
-            lead[tuple(dst)] = out[tuple(src)]
-            trail[tuple(src)] = out[tuple(dst)]
-            acc |= lead | trail
+            lo, hi = lead + (slice(None, -shift),), lead + (slice(shift, None),)
+            acc[lo] |= out[hi]
+            acc[hi] |= out[lo]
         out = acc
     return out
 

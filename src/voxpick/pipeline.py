@@ -30,7 +30,7 @@ from .projection import (
 )
 from .scene import Box, GridBounds, OccupancyGrid, Plane, SceneSpec, Sphere
 from .time_alloc import (
-    GripperState,
+    STAGE_GRIPPER,
     TimedTrajectory,
     VelocityProfile,
     arc_length,
@@ -92,8 +92,6 @@ class ClearanceStats:
 @dataclass
 class RunBundle:
     scenario: Scenario
-    grid: OccupancyGrid
-    distance_field: DistanceField
     initial: Trajectory
     optimized: Trajectory
     timed_initial: TimedTrajectory
@@ -131,19 +129,13 @@ def actor_frames(
     timed: TimedTrajectory, object_position, place_target
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Per-frame sphere centers: the gripper follows the trajectory; the
-    object rests at its start, rides along while the gripper is closed,
-    then rests at the place target."""
-    gripper = timed.positions()
-    obj = np.empty_like(gripper)
-    released = False
-    for k, f in enumerate(timed.frames):
-        if f.gripper is GripperState.CLOSED:
-            obj[k] = gripper[k]
-            released = True
-        elif not released:
-            obj[k] = np.asarray(object_position, dtype=np.float64)
-        else:
-            obj[k] = np.asarray(place_target, dtype=np.float64)
+    object rests at ``object_position`` during approach, rides with the
+    gripper during manipulate and rests at ``place_target`` during
+    back_idle."""
+    gripper = timed.positions
+    obj = gripper.copy()
+    obj[[s is Stage.APPROACH for s in timed.stages]] = object_position
+    obj[[s is Stage.BACK_IDLE for s in timed.stages]] = place_target
     return obj, gripper
 
 
@@ -215,8 +207,6 @@ def run(scenario: Scenario) -> RunBundle:
 
     return RunBundle(
         scenario=scenario,
-        grid=grid,
-        distance_field=fld,
         initial=initial,
         optimized=optimized,
         timed_initial=timed_initial,
@@ -346,6 +336,12 @@ def _non_negative_int(value, name: str) -> int:
     return value
 
 
+def _dims(value) -> tuple:
+    if not isinstance(value, (list, tuple)) or len(value) != 3 or 0 in value:
+        raise ParseError(f"grid.dims must be 3 integers >= 1, got {value!r}")
+    return tuple(_non_negative_int(v, "grid.dims") for v in value)
+
+
 def scenario_from_dict(d: dict) -> Scenario:
     try:
         grid = d["grid"]
@@ -369,10 +365,14 @@ def scenario_from_dict(d: dict) -> Scenario:
             sc = d["scene"]
             spec = SceneSpec(
                 primitives=tuple(_prim_from_dict(p) for p in sc.get("primitives", [])),
-                effector_start=tuple(sc["effector_start_m"]),
-                object_position=tuple(sc["object_position_m"]),
-                place_target=tuple(sc["place_target_m"]),
-                grasp_offset=tuple(sc["grasp_offset_m"]) if "grasp_offset_m" in sc else None,
+                effector_start=_vec3(sc["effector_start_m"], "scene.effector_start_m"),
+                object_position=_vec3(sc["object_position_m"], "scene.object_position_m"),
+                place_target=_vec3(sc["place_target_m"], "scene.place_target_m"),
+                grasp_offset=(
+                    _vec3(sc["grasp_offset_m"], "scene.grasp_offset_m")
+                    if "grasp_offset_m" in sc
+                    else None
+                ),
             )
         cam = d["camera"]
         camera = CameraModel(
@@ -388,7 +388,7 @@ def scenario_from_dict(d: dict) -> Scenario:
         frames = d.get("frames", {})
         return Scenario(
             name=str(d.get("name", "scenario")),
-            dims=tuple(_non_negative_int(v, "grid.dims") for v in grid["dims"]),
+            dims=_dims(grid["dims"]),
             bounds=bounds,
             spec=spec,
             cloud_path=d.get("cloud_path"),
@@ -430,20 +430,22 @@ def save_scenario(s: Scenario, path) -> None:
 # --- bundle writing ---------------------------------------------------------
 
 
-def _traj_record(frame, pre_opt=None) -> dict:
-    rec = {
-        "frame": frame.index,
-        "stage": frame.stage.value,
-        "gripper": frame.gripper.value,
-        "x_m": float(frame.position[0]),
-        "y_m": float(frame.position[1]),
-        "z_m": float(frame.position[2]),
-    }
-    if pre_opt is not None:
-        rec["pre_opt_x_m"] = float(pre_opt[0])
-        rec["pre_opt_y_m"] = float(pre_opt[1])
-        rec["pre_opt_z_m"] = float(pre_opt[2])
-    return rec
+def _traj_records(timed: TimedTrajectory, pre_opt: Optional[np.ndarray] = None):
+    """One record per frame; ``pre_opt`` holds the positions before optimization."""
+    for k, (p, stage) in enumerate(zip(timed.positions, timed.stages)):
+        rec = {
+            "frame": k,
+            "stage": stage.value,
+            "gripper": STAGE_GRIPPER[stage].value,
+            "x_m": float(p[0]),
+            "y_m": float(p[1]),
+            "z_m": float(p[2]),
+        }
+        if pre_opt is not None:
+            rec["pre_opt_x_m"] = float(pre_opt[k, 0])
+            rec["pre_opt_y_m"] = float(pre_opt[k, 1])
+            rec["pre_opt_z_m"] = float(pre_opt[k, 2])
+        yield rec
 
 
 def _write_jsonl(path, records) -> None:
@@ -461,15 +463,11 @@ def write_bundle(bundle: RunBundle, out_dir) -> None:
 
     save_scenario(bundle.scenario, os.path.join(out_dir, "scenario.json"))
     _write_jsonl(
-        os.path.join(out_dir, "trajectory_initial.jsonl"),
-        (_traj_record(f) for f in bundle.timed_initial.frames),
+        os.path.join(out_dir, "trajectory_initial.jsonl"), _traj_records(bundle.timed_initial)
     )
     _write_jsonl(
         os.path.join(out_dir, "trajectory_optimized.jsonl"),
-        (
-            _traj_record(f, pre_opt=f0.position)
-            for f, f0 in zip(bundle.timed_optimized.frames, bundle.timed_initial.frames)
-        ),
+        _traj_records(bundle.timed_optimized, pre_opt=bundle.timed_initial.positions),
     )
     metrics = {
         "losses": bundle.loss_report.as_dict(),
@@ -477,7 +475,7 @@ def write_bundle(bundle: RunBundle, out_dir) -> None:
         "clearance_after": {k: v.as_dict() for k, v in bundle.clearance_after.items()},
         "arc_length_initial_m": arc_length(bundle.initial.waypoints()),
         "arc_length_optimized_m": arc_length(bundle.optimized.waypoints()),
-        "arc_length_timed_m": arc_length(bundle.timed_optimized.positions()),
+        "arc_length_timed_m": arc_length(bundle.timed_optimized.positions),
         "points_outside_bounds": bundle.points_outside,
         "clearance_fallback": {
             s.stage.value: s.clearance_used for s in bundle.initial.subs

@@ -17,7 +17,7 @@ from typing import List, Tuple
 import numpy as np
 
 from .errors import DimensionMismatch
-from .time_alloc import GripperState, TimedTrajectory
+from .time_alloc import STAGE_GRIPPER, GripperState, TimedTrajectory
 
 PALETTE = {
     "background": 0,
@@ -149,7 +149,7 @@ def render_guidance_masks(
         rasterize_circle(img, project_sphere(cam, obj.centers[k], obj.radius), PALETTE["object"])
         gval = (
             PALETTE["gripper_closed"]
-            if timed.frames[k].gripper is GripperState.CLOSED
+            if STAGE_GRIPPER[timed.stages[k]] is GripperState.CLOSED
             else PALETTE["gripper_open"]
         )
         rasterize_circle(img, project_sphere(cam, gripper.centers[k], gripper.radius), gval)

@@ -17,7 +17,7 @@ import numpy as np
 from . import losses
 from .distance_field import compute_edt
 from .errors import NoPath
-from .grid_planner import plan_segment
+from .grid_planner import Stage, plan_segment
 from .oracles import (
     brute_force_edt_sq,
     circle_mask,
@@ -27,11 +27,11 @@ from .oracles import (
     iou,
     ray_sphere_mask,
 )
-from .pipeline import run
+from .pipeline import actor_frames, run
 from .projection import BEHIND, CameraModel, PALETTE, project_sphere
 from .scene import GridBounds, OccupancyGrid
 from .templates import sink_scenario
-from .time_alloc import GripperState
+from .time_alloc import STAGE_GRIPPER, GripperState, arc_length, sine_fit
 
 
 @dataclass
@@ -48,8 +48,9 @@ def _random_grid(rng, max_dim=16, fill=0.3) -> OccupancyGrid:
     return OccupancyGrid(dims, GridBounds((0.0, 0.0, 0.0), 0.05), occ)
 
 
-def check_edt_exactness(n_grids: int = 100, seed: int = 0) -> str:
-    rng = np.random.default_rng(seed)
+def check_edt_exactness() -> str:
+    n_grids = 100
+    rng = np.random.default_rng(0)
     for k in range(n_grids):
         grid = _random_grid(rng, fill=float(rng.uniform(0.02, 0.6)))
         got = compute_edt(grid)
@@ -62,8 +63,9 @@ def check_edt_exactness(n_grids: int = 100, seed: int = 0) -> str:
     return f"{n_grids} grids exact in squared-integer space"
 
 
-def check_astar_optimality(n_grids: int = 50, seed: int = 1) -> str:
-    rng = np.random.default_rng(seed)
+def check_astar_optimality() -> str:
+    n_grids = 50
+    rng = np.random.default_rng(1)
     checked = 0
     for k in range(n_grids):
         dims = (10, 10, 10)
@@ -94,8 +96,9 @@ def _random_paths(rng, n_paths, n_points=20, scale=1.0):
         yield rng.uniform(-scale, scale, size=(n_points, 3))
 
 
-def check_gradients(n_paths: int = 100, seed: int = 2) -> str:
-    rng = np.random.default_rng(seed)
+def check_gradients() -> str:
+    n_paths = 100
+    rng = np.random.default_rng(2)
     worst = {}
     for name, fn in (
         ("loss_length", lambda P: losses.loss_length(P)),
@@ -113,7 +116,7 @@ def check_gradients(n_paths: int = 100, seed: int = 2) -> str:
 
     # collision: random occupancy field, points kept off interpolation
     # cell faces so the central difference stays inside one cell
-    grid = _random_grid(np.random.default_rng(seed + 1), max_dim=12, fill=0.2)
+    grid = _random_grid(np.random.default_rng(3), max_dim=12, fill=0.2)
     fld = compute_edt(grid)
     d_safe = 4.0 * grid.voxel_size
     lo = np.asarray(grid.bounds.min_corner)
@@ -149,12 +152,7 @@ def check_circle_curvature() -> str:
     return "rel errors " + ", ".join(f"{e:.2e}" for e in rel_errs)
 
 
-def _sink_bundle():
-    return run(sink_scenario())
-
-
-def check_sink_avoidance(bundle=None) -> str:
-    bundle = bundle or _sink_bundle()
+def check_sink_avoidance(bundle) -> str:
     d_safe = bundle.scenario.config.d_safe
     before = bundle.clearance_before["manipulate"]
     after = bundle.clearance_after["manipulate"]
@@ -186,55 +184,40 @@ def check_sink_avoidance(bundle=None) -> str:
     )
 
 
-def check_velocity_profile(bundle=None) -> str:
+def check_velocity_profile(bundle) -> str:
     # measured on the reallocated grid-planned trajectory: its legs are
     # clean polylines, so chord speeds isolate the resampler's profile
-    bundle = bundle or _sink_bundle()
     timed = bundle.timed_initial
-    total = timed.n_frames
-    from .time_alloc import allocate_counts, arc_length
-
     lengths = [arc_length(s.points) for s in bundle.initial.subs]
-    n1, n2, n3 = allocate_counts(lengths, total)
-    shares = np.asarray(lengths) / sum(lengths) * total
-    for count, share in zip((n1, n2, n3), shares):
+    shares = np.asarray(lengths) / sum(lengths) * timed.n_frames
+    for stage, share in zip(Stage, shares):
+        count = timed.stages.count(stage)
         if abs(count - share) >= 1.0:
             raise AssertionError(f"count {count} vs share {share}: off by >= 1")
 
-    pos = timed.positions()
-    stage_chunks = (
-        (pos[0 : n1 + 1], n1),
-        (pos[n1 : n1 + n2 + 1], n2),
-        (pos[n1 + n2 : total], n3 - 1),
-    )
-    worst = 0.0
-    for chunk, n_chords in stage_chunks:
-        speeds = np.linalg.norm(np.diff(chunk, axis=0), axis=1)
-        assert len(speeds) == n_chords
-        k = np.arange(n_chords)
-        target = np.sin(np.pi * (k + 0.5) / n_chords)
-        dev = float(np.abs(speeds / speeds.max() - target).max())
-        worst = max(worst, dev)
-        if dev >= 0.05:
-            raise AssertionError(f"speed profile deviates from sine by {dev:.3f}")
+    worst = max(sine_fit(timed, stage) for stage in Stage)
+    if worst >= 0.05:
+        raise AssertionError(f"speed profile deviates from sine by {worst:.3f}")
 
     arc_in = arc_length(bundle.initial.waypoints())
-    arc_out = arc_length(pos)
+    arc_out = arc_length(timed.positions)
     loss = abs(arc_in - arc_out) / arc_in
     if loss >= 0.01:
         raise AssertionError(f"arc length changed by {loss:.3%} under reallocation")
     return f"max sine deviation {worst:.3f}, arc length drift {loss:.4%}"
 
 
-def check_projection_fidelity(n_spheres: int = 200, seed: int = 3) -> str:
+def check_projection_fidelity() -> str:
+    n_spheres = 200
     cam = CameraModel(
         fx=300.0, fy=300.0, cx=128.0, cy=128.0, width=256, height=256,
         rotation=np.eye(3), translation=np.zeros(3),
     )
     # on-axis closed form
     circle = project_sphere(cam, (0.0, 0.0, 2.0), 0.1)
-    assert circle == (cam.cx, cam.cy, cam.fx * 0.1 / 2.0), circle
-    rng = np.random.default_rng(seed)
+    if circle != (cam.cx, cam.cy, cam.fx * 0.1 / 2.0):
+        raise AssertionError(f"on-axis sphere projects to {circle}")
+    rng = np.random.default_rng(3)
     worst = 1.0
     for k in range(n_spheres):
         radius = float(rng.uniform(0.05, 0.3))
@@ -261,8 +244,7 @@ def check_projection_fidelity(n_spheres: int = 200, seed: int = 3) -> str:
     return f"{n_spheres} spheres, worst IoU {worst:.3f}"
 
 
-def check_mask_contract(bundle=None) -> str:
-    bundle = bundle or _sink_bundle()
+def check_mask_contract(bundle) -> str:
     masks = bundle.masks
     cam = bundle.scenario.camera
     allowed = set(PALETTE.values())
@@ -274,20 +256,18 @@ def check_mask_contract(bundle=None) -> str:
     if masks[0].image.any() or not masks[0].keep_first_frame:
         raise AssertionError("frame 0 must be all background with the keep flag")
 
-    states = [f.gripper for f in bundle.timed_optimized.frames]
+    states = [STAGE_GRIPPER[s] for s in bundle.timed_optimized.stages]
     closes = [i for i in range(1, len(states)) if states[i - 1] is GripperState.OPEN
               and states[i] is GripperState.CLOSED]
     opens = [i for i in range(1, len(states)) if states[i - 1] is GripperState.CLOSED
              and states[i] is GripperState.OPEN]
     if len(closes) != 1 or len(opens) != 1:
         raise AssertionError(f"gripper transitions: closes {closes}, opens {opens}")
-    stages = [f.stage.value for f in bundle.timed_optimized.frames]
+    stages = [s.value for s in bundle.timed_optimized.stages]
     if stages[closes[0] - 1] != "approach" or stages[closes[0]] != "manipulate":
         raise AssertionError("close transition not at the approach/manipulate junction")
     if stages[opens[0] - 1] != "manipulate" or stages[opens[0]] != "back_idle":
         raise AssertionError("open transition not at the manipulate/back_idle junction")
-
-    from .pipeline import actor_frames
 
     obj_frames, grip_frames = actor_frames(
         bundle.timed_optimized,
@@ -337,7 +317,7 @@ def run_checks(corrupt_gradient: Optional[str] = None) -> List[CheckResult]:
     """Run acceptance checks 1-8; ``corrupt_gradient`` names a loss whose
     analytic gradient is deliberately broken (see ``corrupted_gradient``)."""
     with corrupted_gradient(corrupt_gradient) if corrupt_gradient else contextlib.nullcontext():
-        bundle = _sink_bundle()
+        bundle = run(sink_scenario())
         checks: List[tuple] = [
             ("edt-exactness", check_edt_exactness),
             ("astar-optimality", check_astar_optimality),

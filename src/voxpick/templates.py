@@ -36,20 +36,19 @@ def default_camera() -> CameraModel:
     )
 
 
-def _scenario(name: str, spec: SceneSpec, **overrides) -> Scenario:
-    config = overrides.pop("config", None) or PlannerConfig(d_safe=8.0 * VOXEL)
+def _scenario(name: str, spec: SceneSpec) -> Scenario:
     return Scenario(
         name=name,
         dims=DIMS,
         bounds=BOUNDS,
         spec=spec,
         cloud_path=None,
-        config=config,
-        total_frames=int(overrides.pop("total_frames", 49)),
-        profile=overrides.pop("profile", VelocityProfile.SINE),
-        camera=overrides.pop("camera", None) or default_camera(),
-        object_radius=float(overrides.pop("object_radius", 5.0 * VOXEL)),
-        gripper_radius=float(overrides.pop("gripper_radius", 2.0 * VOXEL)),
+        config=PlannerConfig(d_safe=8.0 * VOXEL),
+        total_frames=49,
+        profile=VelocityProfile.SINE,
+        camera=default_camera(),
+        object_radius=5.0 * VOXEL,
+        gripper_radius=2.0 * VOXEL,
     )
 
 
@@ -64,7 +63,7 @@ def _keypoints():
     )
 
 
-def sink_scenario(grasp_offset=None, **overrides) -> Scenario:
+def sink_scenario(grasp_offset=None) -> Scenario:
     spec = SceneSpec(
         primitives=(
             Box((0.0, 0.0, 0.0), (64 * VOXEL, 64 * VOXEL, 10 * VOXEL), name="table"),
@@ -74,20 +73,20 @@ def sink_scenario(grasp_offset=None, **overrides) -> Scenario:
         grasp_offset=grasp_offset,
         **_keypoints(),
     )
-    return _scenario("sink", spec, **overrides)
+    return _scenario("sink", spec)
 
 
-def empty_scenario(grasp_offset=None, **overrides) -> Scenario:
+def empty_scenario(grasp_offset=None) -> Scenario:
     spec = SceneSpec(primitives=(), grasp_offset=grasp_offset, **_keypoints())
-    return _scenario("empty", spec, **overrides)
+    return _scenario("empty", spec)
 
 
 TEMPLATES = {"sink": sink_scenario, "empty": empty_scenario}
 
 
-def make_template(name: str, grasp_offset=None, **overrides) -> Scenario:
+def make_template(name: str, grasp_offset=None) -> Scenario:
     try:
         factory = TEMPLATES[name]
     except KeyError:
         raise ParseError(f"unknown template {name!r}; choose from {sorted(TEMPLATES)}")
-    return factory(grasp_offset=grasp_offset, **overrides)
+    return factory(grasp_offset=grasp_offset)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import List, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -36,29 +36,44 @@ class GripperState(Enum):
     CLOSED = "closed"
 
 
-@dataclass(frozen=True)
-class TimedFrame:
-    index: int
-    position: np.ndarray  # (3,) world meters
-    stage: Stage
-    gripper: GripperState
+STAGE_GRIPPER = {
+    Stage.APPROACH: GripperState.OPEN,
+    Stage.MANIPULATE: GripperState.CLOSED,
+    Stage.BACK_IDLE: GripperState.OPEN,
+}
 
 
 @dataclass(frozen=True)
 class TimedTrajectory:
-    frames: Tuple[TimedFrame, ...]
+    """Row k is frame k: ``positions[k]`` in world meters and ``stages[k]``;
+    the gripper state of a frame is ``STAGE_GRIPPER[stages[k]]``."""
+
+    positions: np.ndarray  # (n, 3) float64, read-only
+    stages: Tuple[Stage, ...]
+
+    def __post_init__(self):
+        p = np.array(self.positions, dtype=np.float64)
+        p.setflags(write=False)
+        object.__setattr__(self, "positions", p)
 
     @property
     def n_frames(self) -> int:
-        return len(self.frames)
-
-    def positions(self) -> np.ndarray:
-        return np.asarray([f.position for f in self.frames], dtype=np.float64)
+        return len(self.stages)
 
     def speeds(self) -> np.ndarray:
         """Per-chord displacement magnitudes between consecutive frames."""
-        p = self.positions()
-        return np.linalg.norm(np.diff(p, axis=0), axis=1)
+        return np.linalg.norm(np.diff(self.positions, axis=0), axis=1)
+
+
+def sine_fit(timed: TimedTrajectory, stage: Stage) -> float:
+    """Largest |chord speed / the stage's top chord speed - sin(pi (i + 1/2) / n)|
+    over the stage's n chords (nan if it has none); a chord belongs to the
+    stage of its first frame."""
+    s = timed.speeds()[[st is stage for st in timed.stages[:-1]]]
+    if not len(s):
+        return float("nan")
+    target = np.sin(np.pi * (np.arange(len(s)) + 0.5) / len(s))
+    return float(np.abs(s / s.max() - target).max())
 
 
 def arc_length(points) -> float:
@@ -114,13 +129,6 @@ def resample(points, count: int, profile: VelocityProfile) -> np.ndarray:
     return out
 
 
-_STAGE_GRIPPER = {
-    Stage.APPROACH: GripperState.OPEN,
-    Stage.MANIPULATE: GripperState.CLOSED,
-    Stage.BACK_IDLE: GripperState.OPEN,
-}
-
-
 def reallocate(
     traj: Trajectory,
     total_frames: int = 49,
@@ -135,21 +143,15 @@ def reallocate(
     lengths = [arc_length(s.points) for s in traj.subs]
     n1, n2, n3 = allocate_counts(lengths, total_frames)
     # stage resample counts; the later stage owns each junction frame
-    r1 = resample(traj.subs[0].points, n1 + 1, profile)[:-1]
-    r2 = resample(traj.subs[1].points, n2 + 1, profile)[:-1]
-    r3 = resample(traj.subs[2].points, n3, profile)
-    frames: List[TimedFrame] = []
-    for stage, pts in ((Stage.APPROACH, r1), (Stage.MANIPULATE, r2), (Stage.BACK_IDLE, r3)):
-        for pos in pts:
-            frames.append(
-                TimedFrame(
-                    index=len(frames),
-                    position=np.array(pos),
-                    stage=stage,
-                    gripper=_STAGE_GRIPPER[stage],
-                )
-            )
-    return TimedTrajectory(frames=tuple(frames))
+    positions = np.concatenate(
+        [
+            resample(traj.subs[0].points, n1 + 1, profile)[:-1],
+            resample(traj.subs[1].points, n2 + 1, profile)[:-1],
+            resample(traj.subs[2].points, n3, profile),
+        ]
+    )
+    stages = (Stage.APPROACH,) * n1 + (Stage.MANIPULATE,) * n2 + (Stage.BACK_IDLE,) * n3
+    return TimedTrajectory(positions, stages)
 
 
 def speed_profile_csv_rows(before: np.ndarray, after: np.ndarray):

@@ -37,16 +37,16 @@ def _timed(fn, budget_s):
 
 def test_criterion_01_edt_exact_on_100_random_grids():
     # exact match with the brute-force oracle in squared-integer space
-    _timed(lambda: check_edt_exactness(n_grids=100), budget_s=10.0)
+    _timed(check_edt_exactness, budget_s=10.0)
 
 
 def test_criterion_02_astar_matches_dijkstra_on_50_grids():
-    _timed(lambda: check_astar_optimality(n_grids=50), budget_s=10.0)
+    _timed(check_astar_optimality, budget_s=10.0)
 
 
 def test_criterion_03_analytic_gradients_match_finite_differences():
     # 100 random 20-point paths per loss; rel error < 1e-4 (1e-3 collision)
-    _timed(lambda: check_gradients(n_paths=100), budget_s=30.0)
+    _timed(check_gradients, budget_s=30.0)
 
 
 def test_criterion_04_circle_curvature_identity():
@@ -70,7 +70,7 @@ def test_criterion_06_sine_velocity_profile(sink_bundle):
 def test_criterion_07_projection_fidelity():
     # 200 random spheres, Z > 4R: rasterized circle vs ray-cast oracle
     # IoU >= 0.95; on-axis case exact
-    check_projection_fidelity(n_spheres=200)
+    check_projection_fidelity()
 
 
 def test_criterion_08_mask_contract(sink_bundle):

@@ -2,6 +2,7 @@
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 import warnings
@@ -105,6 +106,45 @@ def test_report_corrupt_bundle(tmp_path, capsys):
     rc = main(["report", str(tmp_path / "junk")])
     assert rc == 2
     assert capsys.readouterr().err.startswith("error:report:corrupt-bundle:")
+
+
+def _reopen_gripper_mid_manipulate(recs):
+    k = [r["stage"] for r in recs].index("manipulate") + 1
+    recs[k]["gripper"] = "open"
+
+
+def _approach_after_manipulate(recs):
+    k = [r["stage"] for r in recs].index("manipulate") + 1
+    recs[k].update(stage="approach", gripper="open")
+
+
+def _renumber_frame(recs):
+    recs[3]["frame"] = 7
+
+
+def _list_record(recs):
+    recs[2] = []
+
+
+@pytest.mark.parametrize("command", ["report", "masks"])
+@pytest.mark.parametrize(
+    "edit",
+    [_reopen_gripper_mid_manipulate, _approach_after_manipulate, _renumber_frame, _list_record],
+    ids=["gripper-not-of-stage", "stage-out-of-order", "frame-not-row", "record-not-object"],
+)
+def test_inconsistent_trajectory_is_a_corrupt_bundle(planned, tmp_path, capsys, command, edit):
+    _, bundle = planned
+    tampered = tmp_path / "tampered"
+    shutil.copytree(bundle, tampered)
+    path = tampered / "trajectory_optimized.jsonl"
+    recs = [json.loads(line) for line in path.read_text().splitlines()]
+    edit(recs)
+    path.write_text("".join(json.dumps(r) + "\n" for r in recs))
+    out = ["--out", str(tmp_path / "masks")] if command == "masks" else []
+    rc = main([command, str(tampered)] + out)
+    lines = capsys.readouterr().err.splitlines()
+    assert rc == 2
+    assert len(lines) == 1 and lines[0].startswith("error:report:corrupt-bundle:"), lines
 
 
 def test_masks_rerender_matches_bundle(planned, tmp_path):
@@ -255,6 +295,12 @@ def _add_primitive(prim):
         lambda d: d["scene"].update(grasp_offset_m=[0.0, 0.0, 100.0]),
         lambda d: d["scene"].update(grasp_offset_m=[float("nan"), 0.0, 0.0]),
         lambda d: d["grid"].update(min_corner_m=[float("nan"), 0.0, 0.0]),
+        lambda d: d["scene"].update(effector_start_m=[6.8]),
+        lambda d: d["scene"].update(object_position_m=[3.2, 6.4, 5.0, 1.0]),
+        lambda d: d["scene"].update(place_target_m="10.4, 6.4, 5.0"),
+        lambda d: d["scene"].update(grasp_offset_m=[0.0, 0.4]),
+        lambda d: d["grid"].update(dims=[0, 64, 64]),
+        lambda d: d["grid"].update(dims=[64, 64]),
         _add_primitive({"type": "plane", "axis": 3, "offset_m": 1.0}),
         _add_primitive({"type": "plane", "axis": 1.7, "offset_m": 1.0}),
         _add_primitive({"type": "plane", "axis": 2, "offset_m": 100.0, "side": "up"}),
@@ -267,7 +313,9 @@ def _add_primitive(prim):
     ids=[
         "width-0", "height-0", "fx-nan", "cx-inf", "translation-nan", "rotation-nan",
         "effector-start-nan", "place-target-nan", "grasp-point-outside", "grasp-offset-nan",
-        "min-corner-nan", "plane-axis-3", "plane-axis-1.7", "plane-side-up", "plane-offset-nan",
+        "min-corner-nan", "effector-start-1-number", "object-position-4-numbers",
+        "place-target-string", "grasp-offset-2-numbers", "dims-0", "dims-2-numbers",
+        "plane-axis-3", "plane-axis-1.7", "plane-side-up", "plane-offset-nan",
         "box-2-element-corner", "box-corner-string", "sphere-center-string", "sphere-radius-neg",
     ],
 )

@@ -25,7 +25,6 @@ from voxpick.pipeline import (
 )
 from voxpick.projection import PALETTE, read_pgm
 from voxpick.templates import TEMPLATES, empty_scenario, make_template, sink_scenario
-from voxpick.time_alloc import GripperState
 
 
 def test_scenario_dict_round_trip():
@@ -91,15 +90,10 @@ def test_actor_frames_object_rides_the_closed_gripper(sink_bundle):
     )
     start = np.asarray(b.scenario.spec.object_position)
     target = np.asarray(b.scenario.spec.place_target)
-    released = False
-    for k, f in enumerate(b.timed_optimized.frames):
-        if f.gripper is GripperState.CLOSED:
-            np.testing.assert_array_equal(obj[k], grip[k])
-            released = True
-        elif not released:
-            np.testing.assert_array_equal(obj[k], start)
-        else:
-            np.testing.assert_array_equal(obj[k], target)
+    np.testing.assert_array_equal(grip, b.timed_optimized.positions)
+    for k, stage in enumerate(b.timed_optimized.stages):
+        want = {Stage.APPROACH: start, Stage.MANIPULATE: grip[k], Stage.BACK_IDLE: target}
+        np.testing.assert_array_equal(obj[k], want[stage])
 
 
 def test_empty_scene_plans_straight():
@@ -214,4 +208,4 @@ def test_initial_trajectory_matches_serialized_initial(sink_bundle, tmp_path):
     pos = np.array(
         [[json.loads(l)[k] for k in ("x_m", "y_m", "z_m")] for l in lines]
     )
-    np.testing.assert_allclose(pos, sink_bundle.timed_initial.positions())
+    np.testing.assert_allclose(pos, sink_bundle.timed_initial.positions)

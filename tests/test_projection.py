@@ -1,10 +1,15 @@
 """Pinhole projection, rasterization, and mask rendering."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import voxpick
 from voxpick.errors import DimensionMismatch
 from voxpick.grid_planner import Stage
 from voxpick.projection import (
@@ -19,7 +24,7 @@ from voxpick.projection import (
     render_guidance_masks,
     write_pgm,
 )
-from voxpick.time_alloc import GripperState, TimedFrame, TimedTrajectory
+from voxpick.time_alloc import TimedTrajectory
 
 
 def _identity_cam(**kw):
@@ -84,24 +89,20 @@ def test_rasterize_circle_pixel_centers():
 
 
 def _timed(n, closed_range):
-    frames = []
-    for k in range(n):
-        closed = closed_range[0] <= k < closed_range[1]
-        frames.append(
-            TimedFrame(
-                index=k,
-                position=np.array([0.0, 0.0, 2.0 + 0.1 * k]),
-                stage=Stage.MANIPULATE if closed else Stage.APPROACH,
-                gripper=GripperState.CLOSED if closed else GripperState.OPEN,
-            )
-        )
-    return TimedTrajectory(frames=tuple(frames))
+    """``n`` frames on the optical axis; the gripper is closed (manipulate)
+    on ``closed_range`` and open (approach before it, back_idle after)."""
+    lo, hi = closed_range
+    positions = [[0.0, 0.0, 2.0 + 0.1 * k] for k in range(n)]
+    stages = (
+        (Stage.APPROACH,) * lo + (Stage.MANIPULATE,) * (hi - lo) + (Stage.BACK_IDLE,) * (n - hi)
+    )
+    return TimedTrajectory(np.array(positions), stages)
 
 
 def test_render_masks_palette_and_keep_flag():
     cam = _identity_cam()
     timed = _timed(5, (2, 4))
-    centers = timed.positions()
+    centers = timed.positions
     masks = render_guidance_masks(
         timed,
         SphereActor(0.2, centers),
@@ -122,8 +123,8 @@ def test_render_masks_palette_and_keep_flag():
 def test_render_masks_rejects_frame_count_mismatch():
     cam = _identity_cam()
     timed = _timed(4, (1, 3))
-    good = SphereActor(0.1, timed.positions())
-    bad = SphereActor(0.2, timed.positions()[:-1])
+    good = SphereActor(0.1, timed.positions)
+    bad = SphereActor(0.2, timed.positions[:-1])
     with pytest.raises(DimensionMismatch):
         render_guidance_masks(timed, bad, good, cam)
 
@@ -136,3 +137,24 @@ def test_pgm_round_trip(tmp_path, rng):
     with pytest.raises(ValueError):
         (tmp_path / "bad.pgm").write_bytes(b"P2\n1 1\n255\n0\n")
         read_pgm(tmp_path / "bad.pgm")
+
+
+def test_projection_check_keeps_its_on_axis_case_under_python_O():
+    # -O strips asserts: a 1e-9 px error on the optical axis must still fail
+    code = (
+        "import voxpick.selfcheck as sc\n"
+        "exact = sc.project_sphere\n"
+        "def nudged(cam, center, radius):\n"
+        "    u, v, r = exact(cam, center, radius)\n"
+        "    return u + 1e-9, v, r\n"
+        "sc.project_sphere = nudged\n"
+        "try:\n"
+        "    sc.check_projection_fidelity()\n"
+        "except AssertionError:\n"
+        "    raise SystemExit(7)\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(voxpick.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True,
+                          text=True)
+    assert proc.returncode == 7, proc.stderr

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from voxpick.errors import DegeneratePath, InsufficientFrames
 from voxpick.grid_planner import Stage, SubTrajectory, Trajectory
 from voxpick.time_alloc import (
+    STAGE_GRIPPER,
     GripperState,
     VelocityProfile,
     allocate_counts,
@@ -109,10 +110,9 @@ def _traj():
 def test_reallocate_frame_budget_and_stage_layout():
     timed = reallocate(_traj(), total_frames=21, profile=VelocityProfile.SINE)
     assert timed.n_frames == 21
-    assert [f.index for f in timed.frames] == list(range(21))
+    assert timed.positions.shape == (21, 3) and not timed.positions.flags.writeable
     counts = allocate_counts([4.0, 6.0, 4.0], 21)
-    stages = [f.stage for f in timed.frames]
-    assert stages == (
+    assert list(timed.stages) == (
         [Stage.APPROACH] * counts[0]
         + [Stage.MANIPULATE] * counts[1]
         + [Stage.BACK_IDLE] * counts[2]
@@ -123,15 +123,15 @@ def test_reallocate_junctions_belong_to_the_later_stage():
     timed = reallocate(_traj(), total_frames=21)
     n1, n2, _ = allocate_counts([4.0, 6.0, 4.0], 21)
     # the grasp keypoint opens the manipulate stage, gripper closed there
-    np.testing.assert_array_equal(timed.frames[n1].position, [0, 0, 4])
-    assert timed.frames[n1].stage is Stage.MANIPULATE
-    assert timed.frames[n1].gripper is GripperState.CLOSED
-    assert timed.frames[n1 - 1].gripper is GripperState.OPEN
+    np.testing.assert_array_equal(timed.positions[n1], [0, 0, 4])
+    assert timed.stages[n1] is Stage.MANIPULATE
+    assert STAGE_GRIPPER[timed.stages[n1]] is GripperState.CLOSED
+    assert STAGE_GRIPPER[timed.stages[n1 - 1]] is GripperState.OPEN
     # the place keypoint opens back-idle, gripper reopened
-    np.testing.assert_array_equal(timed.frames[n1 + n2].position, [6, 0, 4])
-    assert timed.frames[n1 + n2].stage is Stage.BACK_IDLE
-    assert timed.frames[n1 + n2].gripper is GripperState.OPEN
-    closed = [f.index for f in timed.frames if f.gripper is GripperState.CLOSED]
+    np.testing.assert_array_equal(timed.positions[n1 + n2], [6, 0, 4])
+    assert timed.stages[n1 + n2] is Stage.BACK_IDLE
+    assert STAGE_GRIPPER[timed.stages[n1 + n2]] is GripperState.OPEN
+    closed = [k for k, s in enumerate(timed.stages) if STAGE_GRIPPER[s] is GripperState.CLOSED]
     assert closed[0] == n1
 
 
