@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Subcommands: ``synth`` writes a scenario file from a template, ``plan``
-executes the full pipeline into a run-bundle directory, ``report``
+executes the full pipeline on a scenario file into a run-bundle
+directory (every run setting lives in that file), ``report``
 summarizes a bundle as tables/CSV, ``masks`` re-renders guidance masks
 from a bundle, and ``check`` runs the oracle self-test harness.
 
@@ -13,7 +14,6 @@ Exit codes: 0 ok, 2 parse/input, 3 no path, 4 optimizer non-finite,
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
@@ -22,53 +22,14 @@ from typing import List, Optional
 
 import numpy as np
 
-from .errors import CorruptBundle, OracleMismatch, ParseError, VoxpickError
+from .errors import CorruptBundle, OracleMismatch, VoxpickError
 from .grid_planner import STAGE_ORDER, Stage
-from .optimizer import PlannerConfig
 from .pipeline import Scenario, load_scenario, mask_actors, run, save_scenario, write_bundle
 from .projection import render_guidance_masks, write_pgm
 from .scene import Box
 from .selfcheck import run_checks
 from .templates import TEMPLATES, make_template
-from .time_alloc import STAGE_GRIPPER, GripperState, TimedTrajectory, VelocityProfile, sine_fit
-
-
-def _add_config_overrides(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--w-len", type=float, default=None, help="length loss weight")
-    p.add_argument("--w-acc", type=float, default=None, help="acceleration loss weight")
-    p.add_argument("--w-curv", type=float, default=None, help="curvature loss weight")
-    p.add_argument("--w-col", type=float, default=None, help="collision loss weight")
-    p.add_argument("--d-safe", type=float, default=None, help="safe clearance, meters")
-    p.add_argument("--learning-rate", type=float, default=None)
-    p.add_argument("--iterations", type=int, default=None)
-    p.add_argument("--frames", type=int, default=None, help="total timed frames")
-    p.add_argument(
-        "--profile", choices=[v.value for v in VelocityProfile], default=None
-    )
-
-
-def _apply_overrides(scenario: Scenario, args) -> Scenario:
-    cfg_fields = {
-        "w_len": args.w_len,
-        "w_acc": args.w_acc,
-        "w_curv": args.w_curv,
-        "w_col": args.w_col,
-        "d_safe": args.d_safe,
-        "learning_rate": args.learning_rate,
-        "iterations": args.iterations,
-    }
-    overrides = {k: v for k, v in cfg_fields.items() if v is not None}
-    changes = {}
-    if overrides:
-        try:
-            changes["config"] = replace(scenario.config, **overrides)
-        except ValueError as e:
-            raise ParseError(f"bad planner override: {e}") from e
-    if args.frames is not None:
-        changes["total_frames"] = args.frames
-    if args.profile is not None:
-        changes["profile"] = VelocityProfile(args.profile)
-    return replace(scenario, **changes) if changes else scenario
+from .time_alloc import STAGE_GRIPPER, GripperState, TimedTrajectory, sine_fit
 
 
 def _random_clutter(scenario: Scenario, count: int, seed: int) -> Scenario:
@@ -99,9 +60,7 @@ def _random_clutter(scenario: Scenario, count: int, seed: int) -> Scenario:
 
 
 def cmd_synth(args) -> int:
-    grasp_offset = tuple(args.grasp_offset) if args.grasp_offset else None
-    scenario = make_template(args.template, grasp_offset=grasp_offset)
-    scenario = _apply_overrides(scenario, args)
+    scenario = make_template(args.template)
     if args.clutter:
         scenario = _random_clutter(scenario, args.clutter, args.seed)
     save_scenario(scenario, args.out)
@@ -110,8 +69,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_plan(args) -> int:
-    scenario = _apply_overrides(load_scenario(args.scenario), args)
-    bundle = run(scenario)
+    bundle = run(load_scenario(args.scenario))
     write_bundle(bundle, args.out)
     rep = bundle.loss_report
     print(f"bundle -> {args.out}")
@@ -128,6 +86,7 @@ def cmd_plan(args) -> int:
 
 LOSS_COLUMNS = ("col", "len", "acc", "curv", "total")
 CLEARANCE_COLUMNS = ("min_m", "mean_m", "interior_min_m")
+ARC_LENGTH_KEYS = ("arc_length_initial_m", "arc_length_optimized_m", "arc_length_timed_m")
 
 
 def _load_bundle_json(bundle_dir: str, name: str) -> dict:
@@ -137,14 +96,13 @@ def _load_bundle_json(bundle_dir: str, name: str) -> dict:
             return json.load(fh)
     except OSError as e:
         raise CorruptBundle(f"cannot read {path}: {e}") from e
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # JSONDecodeError, or an integer over Python's digit limit
         raise CorruptBundle(f"{path}: invalid JSON: {e}") from e
 
 
 def report_tables(bundle_dir: str) -> dict:
     """Structured report data read back from a bundle directory."""
-    manifest = _load_bundle_json(bundle_dir, "manifest.json")
-    metrics = _load_bundle_json(bundle_dir, manifest.get("metrics", "metrics.json"))
+    metrics = _load_bundle_json(bundle_dir, "metrics.json")
     try:
         losses = metrics["losses"]
         loss_rows = [
@@ -158,14 +116,9 @@ def report_tables(bundle_dir: str) -> dict:
                 clearance_rows.append(
                     (phase, stage, [stats[c] for c in CLEARANCE_COLUMNS])
                 )
-    except KeyError as e:
-        raise CorruptBundle(f"metrics.json missing key {e}") from e
-    speeds_path = os.path.join(bundle_dir, manifest.get("speeds", "speeds.csv"))
-    try:
-        with open(speeds_path, "r", encoding="ascii", newline="") as fh:
-            speed_rows = list(csv.reader(fh))
-    except OSError as e:
-        raise CorruptBundle(f"cannot read {speeds_path}: {e}") from e
+        arc_lengths = [(k, metrics[k]) for k in ARC_LENGTH_KEYS]
+    except (KeyError, TypeError) as e:
+        raise CorruptBundle(f"metrics.json: missing or malformed entry: {e}") from e
     initial = _timed_from_bundle(bundle_dir, "trajectory_initial.jsonl")
     optimized = _timed_from_bundle(bundle_dir, "trajectory_optimized.jsonl")
     sine_fit_rows = [
@@ -176,10 +129,7 @@ def report_tables(bundle_dir: str) -> dict:
         "losses": loss_rows,
         "clearance": clearance_rows,
         "sine_fit": sine_fit_rows,
-        "speeds": speed_rows,
-        "arc_length_initial_m": metrics["arc_length_initial_m"],
-        "arc_length_optimized_m": metrics["arc_length_optimized_m"],
-        "arc_length_timed_m": metrics["arc_length_timed_m"],
+        "arc_lengths": arc_lengths,
     }
 
 
@@ -195,13 +145,8 @@ def cmd_report(args) -> int:
     print("sine_fit,stage,initial_max_dev,optimized_max_dev", file=out)
     for stage, values in tables["sine_fit"]:
         print(f"sine_fit,{stage}," + ",".join(repr(v) for v in values), file=out)
-    print(f"arc_length_initial_m,{tables['arc_length_initial_m']!r}", file=out)
-    print(f"arc_length_optimized_m,{tables['arc_length_optimized_m']!r}", file=out)
-    print(f"arc_length_timed_m,{tables['arc_length_timed_m']!r}", file=out)
-    if args.speeds_csv:
-        with open(args.speeds_csv, "w", encoding="ascii", newline="") as fh:
-            csv.writer(fh, lineterminator="\n").writerows(tables["speeds"])
-        print(f"speeds -> {args.speeds_csv}", file=out)
+    for key, value in tables["arc_lengths"]:
+        print(f"{key},{value!r}", file=out)
     return 0
 
 
@@ -226,7 +171,7 @@ def _timed_from_bundle(bundle_dir: str, name: str) -> TimedTrajectory:
                 stages.append(stage)
     except OSError as e:
         raise CorruptBundle(f"cannot read {path}: {e}") from e
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as e:
+    except (KeyError, TypeError, ValueError) as e:
         raise CorruptBundle(f"{path} line {line_no + 1}: {e}") from e
     if not stages:
         raise CorruptBundle(f"{path}: no frames")
@@ -268,24 +213,17 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("synth", help="write a scenario file from a template")
     sp.add_argument("--template", choices=list(TEMPLATES), default="sink")
     sp.add_argument("--out", required=True, help="scenario JSON output path")
-    sp.add_argument(
-        "--grasp-offset", type=float, nargs=3, metavar=("DX", "DY", "DZ"),
-        help="grasp point offset from the object center, meters",
-    )
     sp.add_argument("--clutter", type=int, default=0, help="random clutter boxes")
     sp.add_argument("--seed", type=int, default=0, help="clutter randomization seed")
-    _add_config_overrides(sp)
     sp.set_defaults(func=cmd_synth)
 
     pp = sub.add_parser("plan", help="run the pipeline into a bundle directory")
     pp.add_argument("scenario", help="scenario JSON path")
     pp.add_argument("--out", required=True, help="bundle output directory")
-    _add_config_overrides(pp)
     pp.set_defaults(func=cmd_plan)
 
     rp = sub.add_parser("report", help="summarize a bundle as CSV tables")
     rp.add_argument("bundle", help="bundle directory")
-    rp.add_argument("--speeds-csv", default=None, help="also copy speeds.csv here")
     rp.set_defaults(func=cmd_report)
 
     mp = sub.add_parser("masks", help="re-render guidance masks from a bundle")

@@ -202,32 +202,22 @@ def plan_segment(
 def plan_three_stage(
     grid: OccupancyGrid,
     effector,
-    obj,
+    grasp,
     target,
     clearance_voxels: int = 1,
-    grasp_offset=None,
 ) -> Trajectory:
     """Initial trajectory: approach (effector -> grasp point), manipulate
     (grasp point -> target), back-idle (target -> effector).
 
     Keypoints are snapped to voxel centers for search; the exact world
     keypoints replace the first/last point of each stage afterwards.
-    A grasp offset, when given, shifts the grasp point off the object
-    center (affordance control).
     """
-    effector = np.asarray(effector, dtype=np.float64)
-    obj = np.asarray(obj, dtype=np.float64)
-    target = np.asarray(target, dtype=np.float64)
-    grasp = obj if grasp_offset is None else obj + np.asarray(grasp_offset, dtype=np.float64)
-
-    cells = {}
-    for name, p in (("effector", effector), ("grasp", grasp), ("target", target)):
-        cells[name] = grid.world_to_grid(p)
-
+    effector, grasp, target = (np.asarray(p, dtype=np.float64) for p in (effector, grasp, target))
+    ce, cg, ct = (grid.world_to_grid(p) for p in (effector, grasp, target))
     legs = (
-        (Stage.APPROACH, cells["effector"], cells["grasp"], effector, grasp),
-        (Stage.MANIPULATE, cells["grasp"], cells["target"], grasp, target),
-        (Stage.BACK_IDLE, cells["target"], cells["effector"], target, effector),
+        (Stage.APPROACH, ce, cg, effector, grasp),
+        (Stage.MANIPULATE, cg, ct, grasp, target),
+        (Stage.BACK_IDLE, ct, ce, target, effector),
     )
     subs = []
     for stage, c0, c1, p0, p1 in legs:

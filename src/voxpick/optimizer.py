@@ -21,7 +21,7 @@ import numpy as np
 
 from .distance_field import DistanceField
 from .errors import NonFiniteLoss
-from .grid_planner import SubTrajectory, Trajectory
+from .grid_planner import Trajectory
 from .losses import loss_acc, loss_col, loss_curv, loss_length
 
 ADAM_BETA1 = 0.9

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import heapq
 from math import sqrt
-from typing import Callable, Tuple
+from typing import Callable
 
 import numpy as np
 

@@ -169,10 +169,9 @@ def run(scenario: Scenario) -> RunBundle:
     initial = plan_three_stage(
         grid,
         spec.effector_start,
-        spec.object_position,
+        spec.grasp_point(),
         spec.place_target,
         clearance_voxels=scenario.config.clearance_voxels,
-        grasp_offset=spec.grasp_offset,
     )
 
     optimized, report = optimize_trajectory(initial, fld, scenario.config)
@@ -245,16 +244,18 @@ def _prim_to_dict(p) -> dict:
     raise ParseError(f"unknown primitive {type(p).__name__}")
 
 
-def _finite(value, name: str):
+def _finite(value, name: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
         raise ParseError(f"{name} must be a finite number, got {value!r}")
-    return value
+    return float(value)
 
 
 def _vec3(value, name: str) -> tuple:
     if not isinstance(value, (list, tuple)) or len(value) != 3:
         raise ParseError(f"{name} must be a list of 3 numbers, got {value!r}")
-    return tuple(_finite(v, name) for v in value)
+    for v in value:
+        _finite(v, name)
+    return tuple(value)  # as written, so scenario.json echoes the file
 
 
 def _prim_from_dict(d: dict):
@@ -264,7 +265,7 @@ def _prim_from_dict(d: dict):
             return Box(_vec3(d["min_m"], "box.min_m"), _vec3(d["max_m"], "box.max_m"),
                        d.get("name", "box"))
         if kind == "sphere":
-            radius = float(_finite(d["radius_m"], "sphere.radius_m"))
+            radius = _finite(d["radius_m"], "sphere.radius_m")
             if radius <= 0:
                 raise ParseError(f"sphere.radius_m must be positive, got {radius}")
             return Sphere(_vec3(d["center_m"], "sphere.center_m"), radius, d.get("name", "sphere"))
@@ -274,7 +275,7 @@ def _prim_from_dict(d: dict):
                 raise ParseError(f"plane.axis must be 0, 1 or 2, got {axis!r}")
             if side not in ("below", "above"):
                 raise ParseError(f"plane.side must be 'below' or 'above', got {side!r}")
-            return Plane(axis, float(_finite(d["offset_m"], "plane.offset_m")), side,
+            return Plane(axis, _finite(d["offset_m"], "plane.offset_m"), side,
                          d.get("name", "plane"))
     except (KeyError, TypeError, ValueError) as e:
         raise ParseError(f"bad primitive entry {d}: {e}") from e
@@ -342,27 +343,39 @@ def _dims(value) -> tuple:
     return tuple(_non_negative_int(v, "grid.dims") for v in value)
 
 
+def _section(value, name: str) -> dict:
+    if not isinstance(value, dict):
+        raise ParseError(f"{name} must be a JSON object, got {value!r}")
+    return value
+
+
 def scenario_from_dict(d: dict) -> Scenario:
     try:
-        grid = d["grid"]
-        bounds = GridBounds(tuple(grid["min_corner_m"]), float(grid["voxel_size_m"]))
-        planner = d.get("planner", {})
+        _section(d, "scenario")
+        for key in ("name", "cloud_path"):
+            if not isinstance(d.get(key, ""), str):
+                raise ParseError(f"{key} must be a string, got {d[key]!r}")
+        grid = _section(d["grid"], "grid")
+        bounds = GridBounds(
+            tuple(grid["min_corner_m"]), _finite(grid["voxel_size_m"], "grid.voxel_size_m")
+        )
+        planner = _section(d.get("planner", {}), "planner")
         config = PlannerConfig(
-            w_len=float(planner.get("w_len", 1.0)),
-            w_acc=float(planner.get("w_acc", 1.0)),
-            w_curv=float(planner.get("w_curv", 0.1)),
-            w_col=float(planner.get("w_col", 10.0)),
-            d_safe=float(planner.get("d_safe_m", 2.0 * bounds.voxel_size)),
-            learning_rate=float(planner.get("learning_rate", 0.1)),
+            w_len=_finite(planner.get("w_len", 1.0), "planner.w_len"),
+            w_acc=_finite(planner.get("w_acc", 1.0), "planner.w_acc"),
+            w_curv=_finite(planner.get("w_curv", 0.1), "planner.w_curv"),
+            w_col=_finite(planner.get("w_col", 10.0), "planner.w_col"),
+            d_safe=_finite(planner.get("d_safe_m", 2.0 * bounds.voxel_size), "planner.d_safe_m"),
+            learning_rate=_finite(planner.get("learning_rate", 0.1), "planner.learning_rate"),
             iterations=_non_negative_int(planner.get("iterations", 200), "planner.iterations"),
             clearance_voxels=_non_negative_int(
                 planner.get("clearance_voxels", 1), "planner.clearance_voxels"
             ),
-            eps_curv=float(planner.get("eps_curv", 1e-6)),
+            eps_curv=_finite(planner.get("eps_curv", 1e-6), "planner.eps_curv"),
         )
         spec = None
         if "scene" in d:
-            sc = d["scene"]
+            sc = _section(d["scene"], "scene")
             spec = SceneSpec(
                 primitives=tuple(_prim_from_dict(p) for p in sc.get("primitives", [])),
                 effector_start=_vec3(sc["effector_start_m"], "scene.effector_start_m"),
@@ -374,20 +387,21 @@ def scenario_from_dict(d: dict) -> Scenario:
                     else None
                 ),
             )
-        cam = d["camera"]
+        cam = _section(d["camera"], "camera")
         camera = CameraModel(
-            fx=float(cam["fx_px"]),
-            fy=float(cam["fy_px"]),
-            cx=float(cam["cx_px"]),
-            cy=float(cam["cy_px"]),
+            fx=_finite(cam["fx_px"], "camera.fx_px"),
+            fy=_finite(cam["fy_px"], "camera.fy_px"),
+            cx=_finite(cam["cx_px"], "camera.cx_px"),
+            cy=_finite(cam["cy_px"], "camera.cy_px"),
             width=_non_negative_int(cam["width_px"], "camera.width_px"),
             height=_non_negative_int(cam["height_px"], "camera.height_px"),
             rotation=np.asarray(cam["rotation"], dtype=np.float64),
             translation=np.asarray(cam["translation_m"], dtype=np.float64),
         )
-        frames = d.get("frames", {})
+        frames = _section(d.get("frames", {}), "frames")
+        actors = _section(d["actors"], "actors")
         return Scenario(
-            name=str(d.get("name", "scenario")),
+            name=d.get("name", "scenario"),
             dims=_dims(grid["dims"]),
             bounds=bounds,
             spec=spec,
@@ -398,12 +412,12 @@ def scenario_from_dict(d: dict) -> Scenario:
             ),
             profile=VelocityProfile(frames.get("velocity_profile", "sine")),
             camera=camera,
-            object_radius=float(d["actors"]["object_radius_m"]),
-            gripper_radius=float(d["actors"]["gripper_radius_m"]),
+            object_radius=_finite(actors["object_radius_m"], "actors.object_radius_m"),
+            gripper_radius=_finite(actors["gripper_radius_m"], "actors.gripper_radius_m"),
         )
     except ParseError:
         raise
-    except (KeyError, TypeError, ValueError) as e:
+    except (KeyError, TypeError, ValueError, OverflowError) as e:
         raise ParseError(f"bad scenario: {e}") from e
 
 
@@ -419,7 +433,7 @@ def load_scenario(path) -> Scenario:
             return scenario_from_dict(json.load(fh))
     except OSError as e:
         raise ParseError(f"cannot read scenario {path}: {e}") from e
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # JSONDecodeError, or an integer over Python's digit limit
         raise ParseError(f"{path}: invalid JSON: {e}") from e
 
 

@@ -63,30 +63,29 @@ def _keypoints():
     )
 
 
-def sink_scenario(grasp_offset=None) -> Scenario:
+def sink_scenario() -> Scenario:
     spec = SceneSpec(
         primitives=(
             Box((0.0, 0.0, 0.0), (64 * VOXEL, 64 * VOXEL, 10 * VOXEL), name="table"),
             Box((31 * VOXEL, 10 * VOXEL, 10 * VOXEL),
                 (33 * VOXEL, 54 * VOXEL, 24 * VOXEL), name="rim"),
         ),
-        grasp_offset=grasp_offset,
         **_keypoints(),
     )
     return _scenario("sink", spec)
 
 
-def empty_scenario(grasp_offset=None) -> Scenario:
-    spec = SceneSpec(primitives=(), grasp_offset=grasp_offset, **_keypoints())
+def empty_scenario() -> Scenario:
+    spec = SceneSpec(primitives=(), **_keypoints())
     return _scenario("empty", spec)
 
 
 TEMPLATES = {"sink": sink_scenario, "empty": empty_scenario}
 
 
-def make_template(name: str, grasp_offset=None) -> Scenario:
+def make_template(name: str) -> Scenario:
     try:
         factory = TEMPLATES[name]
     except KeyError:
         raise ParseError(f"unknown template {name!r}; choose from {sorted(TEMPLATES)}")
-    return factory(grasp_offset=grasp_offset)
+    return factory()

@@ -5,15 +5,10 @@ Criteria 1-8 delegate to the same oracle-backed checks that back
 ``voxpick check``; 9 and 10 exercise the CLI end to end.
 """
 
-import json
 import os
 import time
 
-import numpy as np
-import pytest
-
 from voxpick.cli import main
-from voxpick.pipeline import run
 from voxpick.selfcheck import (
     check_astar_optimality,
     check_circle_curvature,
@@ -24,7 +19,6 @@ from voxpick.selfcheck import (
     check_sink_avoidance,
     check_velocity_profile,
 )
-from voxpick.templates import sink_scenario
 
 
 def _timed(fn, budget_s):

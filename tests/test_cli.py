@@ -44,27 +44,32 @@ def test_synth_clutter_is_seeded(tmp_path):
     assert a.read_bytes() != c.read_bytes()
 
 
-def test_synth_rejects_bad_overrides(tmp_path, capsys):
-    rc = main(["synth", "--out", str(tmp_path / "x.json"), "--iterations", "0"])
-    assert rc == 2
-    assert capsys.readouterr().err.startswith("error:parse:parse:")
-
-
-def test_plan_overrides_reach_the_scenario(planned, tmp_path):
-    scenario, _ = planned
-    out = tmp_path / "fast"
-    assert main(["plan", str(scenario), "--out", str(out), "--iterations", "5",
-                 "--frames", "25"]) == 0
-    saved = json.loads((out / "scenario.json").read_text())
-    assert saved["planner"]["iterations"] == 5
-    assert saved["frames"]["total_frames"] == 25
-    assert len((out / "trajectory_optimized.jsonl").read_text().splitlines()) == 25
-
-
 def test_plan_missing_scenario_exits_2(tmp_path, capsys):
     rc = main(["plan", str(tmp_path / "nope.json"), "--out", str(tmp_path / "o")])
     assert rc == 2
     assert capsys.readouterr().err.startswith("error:parse:")
+
+
+def test_an_integer_too_long_to_parse_is_one_error_line(planned, tmp_path, capsys):
+    # json refuses an integer over 4300 digits with a plain ValueError
+    scenario, bundle = planned
+    long = "9" * 5000
+    edited = tmp_path / "long.json"
+    edited.write_text(scenario.read_text().replace('"iterations": 200', f'"iterations": {long}'))
+    tampered = tmp_path / "tampered"
+    shutil.copytree(bundle, tampered)
+    metrics = tampered / "metrics.json"
+    metrics.write_text(metrics.read_text().replace('"points_outside_bounds": 0',
+                                                   f'"points_outside_bounds": {long}'))
+    assert long in edited.read_text() and long in metrics.read_text()
+    for argv, prefix in (
+        (["plan", str(edited), "--out", str(tmp_path / "o")], "error:parse:parse:"),
+        (["report", str(tampered)], "error:report:corrupt-bundle:"),
+    ):
+        rc = main(argv)
+        lines = capsys.readouterr().err.splitlines()
+        assert rc == 2
+        assert len(lines) == 1 and lines[0].startswith(prefix), lines
 
 
 def test_plan_reports_no_path(planned, tmp_path, capsys):
@@ -81,14 +86,14 @@ def test_plan_reports_no_path(planned, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:plan:no-path:")
 
 
-def test_report_tables_and_csv(planned, tmp_path, capsys):
+def test_report_tables_and_csv(planned, capsys):
     _, bundle = planned
-    speeds = tmp_path / "speeds.csv"
-    assert main(["report", str(bundle), "--speeds-csv", str(speeds)]) == 0
+    assert main(["report", str(bundle)]) == 0
     out = capsys.readouterr().out
     assert out.startswith("losses,col,len,acc,curv,total")
     assert "after,manipulate," in out
-    assert speeds.exists()
+    metrics = json.loads((bundle / "metrics.json").read_text())
+    assert out.endswith(f"\narc_length_timed_m,{metrics['arc_length_timed_m']!r}\n")
     tables = report_tables(str(bundle))
     assert len(tables["clearance"]) == 6
     assert "\nsine_fit,stage,initial_max_dev,optimized_max_dev\n" in out
@@ -145,6 +150,36 @@ def test_inconsistent_trajectory_is_a_corrupt_bundle(planned, tmp_path, capsys, 
     lines = capsys.readouterr().err.splitlines()
     assert rc == 2
     assert len(lines) == 1 and lines[0].startswith("error:report:corrupt-bundle:"), lines
+
+
+@pytest.mark.parametrize(
+    "name, edit, corrupt",
+    [
+        ("metrics.json", lambda m: {k: v for k, v in m.items() if k != "arc_length_timed_m"},
+         True),
+        ("metrics.json", lambda m: dict(m, losses=[]), True),
+        ("manifest.json", lambda m: [], False),
+        ("manifest.json", lambda m: {"metrics": 5}, False),
+    ],
+    ids=["metrics-without-timed-arc", "losses-a-list", "manifest-a-list", "manifest-metrics-5"],
+)
+def test_report_reads_metrics_by_name(planned, tmp_path, capsys, name, edit, corrupt):
+    # report never reads manifest.json, so an edit there changes nothing
+    _, bundle = planned
+    assert main(["report", str(bundle)]) == 0
+    untouched = capsys.readouterr().out
+    tampered = tmp_path / "tampered"
+    shutil.copytree(bundle, tampered)
+    path = tampered / name
+    path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+    rc = main(["report", str(tampered)])
+    captured = capsys.readouterr()
+    if corrupt:
+        lines = captured.err.splitlines()
+        assert rc == 2
+        assert len(lines) == 1 and lines[0].startswith("error:report:corrupt-bundle:"), lines
+    else:
+        assert (rc, captured.out, captured.err) == (0, untouched, "")
 
 
 def test_masks_rerender_matches_bundle(planned, tmp_path):
@@ -253,11 +288,17 @@ def test_plan_rejects_bad_step_settings(planned, tmp_path, capsys, key, value):
     _assert_one_parse_error(capsys, key)
 
 
-def test_plan_rejects_nan_learning_rate_override(planned, tmp_path, capsys):
-    scenario, _ = planned
-    rc = main(["plan", str(scenario), "--out", str(tmp_path / "o"), "--learning-rate", "nan"])
-    assert rc == 2
-    _assert_one_parse_error(capsys, "learning_rate")
+def test_plan_reads_its_settings_from_the_file(planned, tmp_path):
+    def edit(d):
+        d["planner"]["iterations"] = 5
+        d["frames"]["total_frames"] = 25
+
+    assert _plan_edited(planned, tmp_path, edit) == 0
+    out = tmp_path / "out"
+    saved = json.loads((out / "scenario.json").read_text())
+    assert saved["planner"]["iterations"] == 5
+    assert saved["frames"]["total_frames"] == 25
+    assert len((out / "trajectory_optimized.jsonl").read_text().splitlines()) == 25
 
 
 def test_out_of_bounds_keypoint_prints_plain_floats(planned, tmp_path, capsys):
@@ -279,6 +320,10 @@ def _nan_first(key):
 
 def _add_primitive(prim):
     return lambda d: d["scene"]["primitives"].append(prim)
+
+
+def _set(section, key, value):
+    return lambda d: (d[section] if section else d).update({key: value})
 
 
 @pytest.mark.parametrize(
@@ -309,6 +354,26 @@ def _add_primitive(prim):
         _add_primitive({"type": "box", "min_m": [0.0, 0.0, 0.0], "max_m": "abc"}),
         _add_primitive({"type": "sphere", "center_m": "abc", "radius_m": 1.0}),
         _add_primitive({"type": "sphere", "center_m": [1.0, 1.0, 1.0], "radius_m": -1.0}),
+        _set(None, "planner", []),
+        _set(None, "scene", []),
+        _set(None, "frames", "sine"),
+        _set("planner", "w_len", "1.0"),
+        _set("planner", "w_acc", True),
+        _set("planner", "w_curv", "0.1"),
+        _set("planner", "w_col", 10**400),
+        _set("planner", "d_safe_m", "1.6"),
+        _set("planner", "learning_rate", True),
+        _set("planner", "eps_curv", "0"),
+        _set("grid", "voxel_size_m", "0.2"),
+        _set("camera", "fx_px", "300"),
+        _set("camera", "fy_px", True),
+        _set("camera", "cx_px", "128"),
+        _set("camera", "cy_px", False),
+        _set("actors", "object_radius_m", "1"),
+        _set("actors", "gripper_radius_m", True),
+        _set(None, "name", ["x"]),
+        _set(None, "cloud_path", 5),
+        _set(None, "cloud_path", 0),
     ],
     ids=[
         "width-0", "height-0", "fx-nan", "cx-inf", "translation-nan", "rotation-nan",
@@ -317,6 +382,11 @@ def _add_primitive(prim):
         "place-target-string", "grasp-offset-2-numbers", "dims-0", "dims-2-numbers",
         "plane-axis-3", "plane-axis-1.7", "plane-side-up", "plane-offset-nan",
         "box-2-element-corner", "box-corner-string", "sphere-center-string", "sphere-radius-neg",
+        "planner-a-list", "scene-a-list", "frames-a-string", "w-len-string", "w-acc-true",
+        "w-curv-string", "w-col-huge-int", "d-safe-string", "learning-rate-true",
+        "eps-curv-string", "voxel-size-string", "fx-string", "fy-true", "cx-string",
+        "cy-false", "object-radius-string", "gripper-radius-true", "name-list",
+        "cloud-path-5", "cloud-path-0",
     ],
 )
 def test_plan_rejects_bad_camera_keypoints_and_primitives(planned, tmp_path, capsys, edit):

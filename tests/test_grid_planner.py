@@ -22,7 +22,7 @@ from voxpick.grid_planner import (
 )
 from voxpick.oracles import dijkstra_cost
 from voxpick.pipeline import build_grid
-from voxpick.scene import Box, GridBounds, OccupancyGrid
+from voxpick.scene import Box, GridBounds, OccupancyGrid, SceneSpec
 from voxpick.templates import sink_scenario
 
 
@@ -132,9 +132,11 @@ def test_three_stage_restores_exact_keypoints():
 
 def test_three_stage_grasp_offset_moves_the_junction():
     grid = _grid(np.zeros((8, 8, 8), bool), voxel=0.5)
+    spec = SceneSpec(
+        (), (0.8, 0.8, 3.3), (3.1, 0.8, 0.9), (3.1, 3.3, 0.9), grasp_offset=(0.0, 0.0, 0.5)
+    )
     traj = plan_three_stage(
-        grid, (0.8, 0.8, 3.3), (3.1, 0.8, 0.9), (3.1, 3.3, 0.9),
-        clearance_voxels=0, grasp_offset=(0.0, 0.0, 0.5),
+        grid, spec.effector_start, spec.grasp_point(), spec.place_target, clearance_voxels=0
     )
     np.testing.assert_allclose(traj.subs[0].points[-1], [3.1, 0.8, 1.4])
 

@@ -1,7 +1,6 @@
 """End-to-end pipeline: scenario serialization, bundle invariants,
 determinism."""
 
-import filecmp
 import hashlib
 import json
 import os
@@ -14,7 +13,6 @@ from voxpick import pipeline
 from voxpick.errors import ParseError, VoxpickError
 from voxpick.grid_planner import Stage, SubTrajectory, Trajectory
 from voxpick.pipeline import (
-    Scenario,
     actor_frames,
     load_scenario,
     run,
@@ -28,7 +26,8 @@ from voxpick.templates import TEMPLATES, empty_scenario, make_template, sink_sce
 
 
 def test_scenario_dict_round_trip():
-    s = sink_scenario(grasp_offset=(0.0, 0.0, 0.4))
+    s = sink_scenario()
+    s = replace(s, spec=replace(s.spec, grasp_offset=(0.0, 0.0, 0.4)))
     d = scenario_to_dict(s)
     back = scenario_from_dict(d)
     assert scenario_to_dict(back) == d
@@ -62,6 +61,8 @@ def test_scenario_rejects_out_of_bounds_keypoints():
 def test_scenario_rejects_garbage():
     with pytest.raises(ParseError):
         scenario_from_dict({"grid": {"dims": [2, 2]}})
+    with pytest.raises(ParseError, match="scenario must be a JSON object"):
+        scenario_from_dict([])
 
 
 def test_make_template_names():
