@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import replace
@@ -167,7 +168,10 @@ def _timed_from_bundle(bundle_dir: str, name: str) -> TimedTrajectory:
                     raise ValueError(f"gripper {rec['gripper']!r} in stage {stage.value!r}")
                 if stages and STAGE_ORDER.index(stage) < STAGE_ORDER.index(stages[-1]):
                     raise ValueError(f"stage {stage.value!r} after {stages[-1].value!r}")
-                positions.append([float(rec[k]) for k in ("x_m", "y_m", "z_m")])
+                position = [float(rec[k]) for k in ("x_m", "y_m", "z_m")]
+                if not all(map(math.isfinite, position)):  # json reads NaN and Infinity
+                    raise ValueError(f"non-finite position {position}")
+                positions.append(position)
                 stages.append(stage)
     except OSError as e:
         raise CorruptBundle(f"cannot read {path}: {e}") from e

@@ -261,22 +261,23 @@ def _vec3(value, name: str) -> tuple:
 def _prim_from_dict(d: dict):
     try:
         kind = d["type"]
+        if not isinstance(d.get("name", ""), str):
+            raise ParseError(f"{kind}.name must be a string, got {d['name']!r}")
+        name = d.get("name", kind)
         if kind == "box":
-            return Box(_vec3(d["min_m"], "box.min_m"), _vec3(d["max_m"], "box.max_m"),
-                       d.get("name", "box"))
+            return Box(_vec3(d["min_m"], "box.min_m"), _vec3(d["max_m"], "box.max_m"), name)
         if kind == "sphere":
             radius = _finite(d["radius_m"], "sphere.radius_m")
             if radius <= 0:
                 raise ParseError(f"sphere.radius_m must be positive, got {radius}")
-            return Sphere(_vec3(d["center_m"], "sphere.center_m"), radius, d.get("name", "sphere"))
+            return Sphere(_vec3(d["center_m"], "sphere.center_m"), radius, name)
         if kind == "plane":
             axis, side = _non_negative_int(d["axis"], "plane.axis"), d.get("side", "below")
             if axis > 2:
                 raise ParseError(f"plane.axis must be 0, 1 or 2, got {axis!r}")
             if side not in ("below", "above"):
                 raise ParseError(f"plane.side must be 'below' or 'above', got {side!r}")
-            return Plane(axis, _finite(d["offset_m"], "plane.offset_m"), side,
-                         d.get("name", "plane"))
+            return Plane(axis, _finite(d["offset_m"], "plane.offset_m"), side, name)
     except (KeyError, TypeError, ValueError) as e:
         raise ParseError(f"bad primitive entry {d}: {e}") from e
     raise ParseError(f"unknown primitive type {kind!r}")

@@ -7,6 +7,11 @@ images: 0 background, 128 object, 200 open gripper, 255 closed gripper;
 the gripper overlays the object on overlap. Frame 0 stays all background
 and carries a keep-first-frame flag for the downstream conditioning
 consumer.
+
+Raster contract: a pixel is filled when its center (index + 0.5) is
+inside or on the circle, ``(x - u)**2 + (y - v)**2 <= r*r`` in float64.
+Only the circle's bounding window is evaluated; ``oracles.circle_mask``
+evaluates the same test over the full frame and is the reference.
 """
 
 from __future__ import annotations
@@ -114,15 +119,25 @@ def project_sphere(cam: CameraModel, center, radius_m: float):
 
 
 def rasterize_circle(mask: np.ndarray, circle, value: int) -> None:
-    """Fill pixels whose centers fall inside the circle (in place)."""
+    """Set, in place, the pixels whose centers are inside or on the circle,
+    evaluating the 2-D test only in the circle's bounding window."""
     if circle == BEHIND:
         return
     u, v, r = circle
     h, w = mask.shape
     x = np.arange(w) + 0.5
     y = np.arange(h) + 0.5
-    inside = (x[None, :] - u) ** 2 + (y[:, None] - v) ** 2 <= r * r
-    mask[inside] = value
+    # a float sum of squares is never below either square, so only columns
+    # with (x - u)**2 <= r*r and rows with (y - v)**2 <= r*r can pass; taking
+    # the window from the same float test keeps it exact where x - u rounds
+    # by whole pixels (|u| > 2**53) or r*r overflows
+    cols = np.flatnonzero((x - u) ** 2 <= r * r)
+    rows = np.flatnonzero((y - v) ** 2 <= r * r)
+    if cols.size == 0 or rows.size == 0:
+        return
+    cs, rs = slice(cols[0], cols[-1] + 1), slice(rows[0], rows[-1] + 1)
+    inside = (x[None, cs] - u) ** 2 + (y[rs, None] - v) ** 2 <= r * r
+    mask[rs, cs][inside] = value
 
 
 def render_guidance_masks(

@@ -7,8 +7,10 @@ Criteria 1-8 delegate to the same oracle-backed checks that back
 
 import os
 import time
+from dataclasses import replace
 
 from voxpick.cli import main
+from voxpick.pipeline import run
 from voxpick.selfcheck import (
     check_astar_optimality,
     check_circle_curvature,
@@ -19,6 +21,7 @@ from voxpick.selfcheck import (
     check_sink_avoidance,
     check_velocity_profile,
 )
+from voxpick.templates import sink_scenario
 
 
 def _timed(fn, budget_s):
@@ -71,6 +74,16 @@ def test_criterion_08_mask_contract(sink_bundle):
     # palette-only values, single close/open transitions at the stage
     # junctions, blank first frame, per-pixel two-actor oracle equality
     check_mask_contract(sink_bundle)
+
+
+def test_criterion_08_mask_contract_at_the_remask_camera():
+    # the benchmark's remask camera; the sink's own camera is 256x256
+    scenario = sink_scenario()
+    camera = replace(scenario.camera, fx=600.0, fy=600.0, cx=320.0, cy=240.0,
+                     width=640, height=480)
+    bundle = run(replace(scenario, camera=camera, total_frames=61))
+    assert bundle.masks[1].image.shape == (480, 640)
+    check_mask_contract(bundle)
 
 
 def test_criterion_09_plan_is_deterministic_and_fast(tmp_path):

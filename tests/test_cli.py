@@ -131,11 +131,21 @@ def _list_record(recs):
     recs[2] = []
 
 
+def _position(key, literal):
+    # json writes and reads NaN, Infinity and -Infinity as floats
+    def edit(recs):
+        recs[5][key] = float(literal)
+
+    return edit
+
+
 @pytest.mark.parametrize("command", ["report", "masks"])
 @pytest.mark.parametrize(
     "edit",
-    [_reopen_gripper_mid_manipulate, _approach_after_manipulate, _renumber_frame, _list_record],
-    ids=["gripper-not-of-stage", "stage-out-of-order", "frame-not-row", "record-not-object"],
+    [_reopen_gripper_mid_manipulate, _approach_after_manipulate, _renumber_frame, _list_record,
+     _position("x_m", "NaN"), _position("y_m", "Infinity"), _position("z_m", "-Infinity")],
+    ids=["gripper-not-of-stage", "stage-out-of-order", "frame-not-row", "record-not-object",
+         "x-NaN", "y-Infinity", "z--Infinity"],
 )
 def test_inconsistent_trajectory_is_a_corrupt_bundle(planned, tmp_path, capsys, command, edit):
     _, bundle = planned
@@ -374,6 +384,11 @@ def _set(section, key, value):
         _set(None, "name", ["x"]),
         _set(None, "cloud_path", 5),
         _set(None, "cloud_path", 0),
+        _add_primitive({"type": "box", "name": 5, "min_m": [0.0, 0.0, 0.0],
+                        "max_m": [1.0, 1.0, 1.0]}),
+        _add_primitive({"type": "sphere", "name": 5, "center_m": [1.0, 1.0, 1.0],
+                        "radius_m": 0.5}),
+        _add_primitive({"type": "plane", "name": 5, "axis": 2, "offset_m": 0.0}),
     ],
     ids=[
         "width-0", "height-0", "fx-nan", "cx-inf", "translation-nan", "rotation-nan",
@@ -386,7 +401,7 @@ def _set(section, key, value):
         "w-curv-string", "w-col-huge-int", "d-safe-string", "learning-rate-true",
         "eps-curv-string", "voxel-size-string", "fx-string", "fy-true", "cx-string",
         "cy-false", "object-radius-string", "gripper-radius-true", "name-list",
-        "cloud-path-5", "cloud-path-0",
+        "cloud-path-5", "cloud-path-0", "box-name-5", "sphere-name-5", "plane-name-5",
     ],
 )
 def test_plan_rejects_bad_camera_keypoints_and_primitives(planned, tmp_path, capsys, edit):

@@ -3,15 +3,18 @@
 import os
 import subprocess
 import sys
+import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import voxpick
 from voxpick.errors import DimensionMismatch
 from voxpick.grid_planner import Stage
+from voxpick.oracles import circle_mask
 from voxpick.projection import (
     BEHIND,
     CameraModel,
@@ -86,6 +89,71 @@ def test_rasterize_circle_pixel_centers():
     assert img[3, 3] and img[4, 4]
     rasterize_circle(img, BEHIND, 9)  # no-op
     assert img.max() == 7
+
+
+def _centre(n):
+    """A circle-centre coordinate along an axis of ``n`` pixels."""
+    return st.one_of(
+        st.floats(-n - 10.0, 2.0 * n + 10.0),  # inside, near or past either side
+        st.integers(-n - 5, 2 * n + 5).map(float),  # on a pixel edge
+        st.integers(-n - 5, 2 * n + 5).map(lambda i: i + 0.5),  # on a pixel centre
+        st.floats(-1e300, 1e300),
+    )
+
+
+_RADIUS = st.one_of(
+    st.just(0.0),
+    st.floats(0.0, 0.5, exclude_max=True),
+    # an integer radius around a pixel centre puts pixel centres exactly on
+    # the circle
+    st.integers(0, 50).map(float),
+    st.floats(0.0, 100.0),  # up to more than twice the largest image side
+    st.floats(0.0, 1e300),
+)
+
+
+@st.composite
+def _image_and_circle(draw):
+    h, w = draw(st.integers(1, 40)), draw(st.integers(1, 40))
+    return h, w, (draw(_centre(w)), draw(_centre(h)), draw(_RADIUS))
+
+
+def _raster_and_oracle(h, w, circle, value):
+    before = (np.arange(h * w).reshape(h, w) % 7 + 1).astype(np.uint8)
+    img = before.copy()
+    rasterize_circle(img, circle, value)
+    want = np.where(circle_mask(SimpleNamespace(width=w, height=h), circle), value, before)
+    return img, want
+
+
+@settings(max_examples=400, deadline=None)
+@given(_image_and_circle(), st.sampled_from(sorted(PALETTE.values())))
+# r*r overflows to inf, so the full-frame test passes every pixel
+@example((3, 120, (1e300, 0.5, 1e200)), 128)
+# x - u rounds to a multiple of 4: column 98 passes, 1.5 px outside the circle
+@example((3, 120, (3e16, 0.5, 3e16 - 100)), 128)
+def test_rasterize_circle_sets_exactly_the_full_frame_oracle_pixels(case, value):
+    h, w, circle = case
+    with np.errstate(over="ignore"):  # squares of 1e300 overflow to inf in both
+        img, want = _raster_and_oracle(h, w, circle, value)
+    np.testing.assert_array_equal(img, want)
+
+
+@pytest.mark.parametrize("circle", [
+    (np.nan, 4.0, 3.0), (4.0, np.nan, 3.0), (4.0, 4.0, np.nan),
+    (np.inf, 4.0, 3.0), (4.0, -np.inf, 3.0), (4.0, 4.0, np.inf), (np.inf, 4.0, np.inf),
+])
+def test_rasterize_circle_with_a_non_finite_component_raises_nothing(circle):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        img, want = _raster_and_oracle(6, 9, circle, 200)
+    np.testing.assert_array_equal(img, want)
+
+
+def test_rasterize_behind_is_a_no_op():
+    img = np.full((5, 7), 3, np.uint8)
+    rasterize_circle(img, BEHIND, 255)
+    assert (img == 3).all()
 
 
 def _timed(n, closed_range):
