@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from dataclasses import replace
@@ -23,9 +22,18 @@ from typing import List, Optional
 
 import numpy as np
 
-from .errors import CorruptBundle, OracleMismatch, VoxpickError
+from .errors import CorruptBundle, OracleMismatch, ParseError, VoxpickError
 from .grid_planner import STAGE_ORDER, Stage
-from .pipeline import Scenario, load_scenario, mask_actors, run, save_scenario, write_bundle
+from .pipeline import (
+    Scenario,
+    _finite,
+    _non_negative_int,
+    load_scenario,
+    mask_actors,
+    run,
+    save_scenario,
+    write_bundle,
+)
 from .projection import render_guidance_masks, write_pgm
 from .scene import Box
 from .selfcheck import run_checks
@@ -62,8 +70,10 @@ def _random_clutter(scenario: Scenario, count: int, seed: int) -> Scenario:
 
 def cmd_synth(args) -> int:
     scenario = make_template(args.template)
-    if args.clutter:
-        scenario = _random_clutter(scenario, args.clutter, args.seed)
+    count = _non_negative_int(args.clutter, "--clutter")
+    seed = _non_negative_int(args.seed, "--seed")
+    if count:
+        scenario = _random_clutter(scenario, count, seed)
     save_scenario(scenario, args.out)
     print(f"wrote scenario {scenario.name!r} -> {args.out}")
     return 0
@@ -162,20 +172,17 @@ def _timed_from_bundle(bundle_dir: str, name: str) -> TimedTrajectory:
             for line_no, line in enumerate(fh):
                 rec = json.loads(line)
                 stage = Stage(rec["stage"])
-                if rec["frame"] != line_no:
+                if _non_negative_int(rec["frame"], "frame") != line_no:
                     raise ValueError(f"frame {rec['frame']!r}, expected {line_no}")
                 if GripperState(rec["gripper"]) is not STAGE_GRIPPER[stage]:
                     raise ValueError(f"gripper {rec['gripper']!r} in stage {stage.value!r}")
                 if stages and STAGE_ORDER.index(stage) < STAGE_ORDER.index(stages[-1]):
                     raise ValueError(f"stage {stage.value!r} after {stages[-1].value!r}")
-                position = [float(rec[k]) for k in ("x_m", "y_m", "z_m")]
-                if not all(map(math.isfinite, position)):  # json reads NaN and Infinity
-                    raise ValueError(f"non-finite position {position}")
-                positions.append(position)
+                positions.append([_finite(rec[k], k) for k in ("x_m", "y_m", "z_m")])
                 stages.append(stage)
     except OSError as e:
         raise CorruptBundle(f"cannot read {path}: {e}") from e
-    except (KeyError, TypeError, ValueError) as e:
+    except (KeyError, TypeError, ValueError, ParseError) as e:
         raise CorruptBundle(f"{path} line {line_no + 1}: {e}") from e
     if not stages:
         raise CorruptBundle(f"{path}: no frames")

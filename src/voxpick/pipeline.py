@@ -1,8 +1,10 @@
 """End-to-end orchestration: scene -> EDT -> A* -> optimize -> reallocate
 -> project, producing a deterministic run bundle.
 
-Scenario files are JSON with unit-suffixed keys (``voxel_size_m``); a
-bundle is a plain directory with a manifest so runs diff cleanly.
+Scenario files are JSON with unit-suffixed keys (``voxel_size_m``). The
+``_FIELDS`` table is the one place that lists them: parsing, defaults and
+``scenario.json`` all come from its rows. A bundle is a plain directory
+with a manifest so runs diff cleanly.
 """
 
 from __future__ import annotations
@@ -10,8 +12,10 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+import sys
+from dataclasses import dataclass, fields, is_dataclass
+from operator import attrgetter
+from typing import Dict, List, Optional, Tuple, get_type_hints
 
 import numpy as np
 
@@ -28,7 +32,7 @@ from .projection import (
     render_guidance_masks,
     write_pgm,
 )
-from .scene import Box, GridBounds, OccupancyGrid, Plane, SceneSpec, Sphere
+from .scene import Box, GridBounds, OccupancyGrid, Plane, SceneSpec, Sphere, Vec3
 from .time_alloc import (
     STAGE_GRIPPER,
     TimedTrajectory,
@@ -58,8 +62,6 @@ class Scenario:
     def __post_init__(self):
         if self.total_frames < 6:
             raise ParseError(f"total_frames must be >= 6, got {self.total_frames}")
-        if self.spec is None:
-            raise ParseError("scenario needs a scene spec (keypoints)")
         for name, r in (
             ("actors.object_radius_m", self.object_radius),
             ("actors.gripper_radius_m", self.gripper_radius),
@@ -223,31 +225,26 @@ def run(scenario: Scenario) -> RunBundle:
 # --- scenario (de)serialization --------------------------------------------
 
 
-def _prim_to_dict(p) -> dict:
-    if isinstance(p, Box):
-        return {"type": "box", "name": p.name, "min_m": list(p.min_m), "max_m": list(p.max_m)}
-    if isinstance(p, Sphere):
-        return {
-            "type": "sphere",
-            "name": p.name,
-            "center_m": list(p.center_m),
-            "radius_m": p.radius_m,
-        }
-    if isinstance(p, Plane):
-        return {
-            "type": "plane",
-            "name": p.name,
-            "axis": p.axis,
-            "offset_m": p.offset_m,
-            "side": p.side,
-        }
-    raise ParseError(f"unknown primitive {type(p).__name__}")
-
-
 def _finite(value, name: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+    # the bound also refuses NaN, the infinities and ints beyond float range
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not (
+        abs(value) <= sys.float_info.max
+    ):
         raise ParseError(f"{name} must be a finite number, got {value!r}")
     return float(value)
+
+
+def _non_negative_int(value, name: str) -> int:
+    # bool is an int subclass, and int() would truncate 2.7 to 2
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise ParseError(f"{name} must be a non-negative integer, got {value!r}")
+    return value
+
+
+def _string(value, name: str) -> str:
+    if not isinstance(value, str):
+        raise ParseError(f"{name} must be a string, got {value!r}")
+    return value
 
 
 def _vec3(value, name: str) -> tuple:
@@ -258,168 +255,149 @@ def _vec3(value, name: str) -> tuple:
     return tuple(value)  # as written, so scenario.json echoes the file
 
 
-def _prim_from_dict(d: dict):
-    try:
-        kind = d["type"]
-        if not isinstance(d.get("name", ""), str):
-            raise ParseError(f"{kind}.name must be a string, got {d['name']!r}")
-        name = d.get("name", kind)
-        if kind == "box":
-            return Box(_vec3(d["min_m"], "box.min_m"), _vec3(d["max_m"], "box.max_m"), name)
-        if kind == "sphere":
-            radius = _finite(d["radius_m"], "sphere.radius_m")
-            if radius <= 0:
-                raise ParseError(f"sphere.radius_m must be positive, got {radius}")
-            return Sphere(_vec3(d["center_m"], "sphere.center_m"), radius, name)
-        if kind == "plane":
-            axis, side = _non_negative_int(d["axis"], "plane.axis"), d.get("side", "below")
-            if axis > 2:
-                raise ParseError(f"plane.axis must be 0, 1 or 2, got {axis!r}")
-            if side not in ("below", "above"):
-                raise ParseError(f"plane.side must be 'below' or 'above', got {side!r}")
-            return Plane(axis, _finite(d["offset_m"], "plane.offset_m"), side, name)
-    except (KeyError, TypeError, ValueError) as e:
-        raise ParseError(f"bad primitive entry {d}: {e}") from e
-    raise ParseError(f"unknown primitive type {kind!r}")
+def _matrix3(value, name: str) -> tuple:
+    if not isinstance(value, (list, tuple)) or len(value) != 3:
+        raise ParseError(f"{name} must be 3 rows of 3 numbers, got {value!r}")
+    return tuple(_vec3(row, name) for row in value)
 
 
-def scenario_to_dict(s: Scenario) -> dict:
-    d = {
-        "schema_version": SCHEMA_VERSION,
-        "name": s.name,
-        "grid": {
-            "dims": list(s.dims),
-            "min_corner_m": list(s.bounds.min_corner),
-            "voxel_size_m": s.bounds.voxel_size,
-        },
-        "planner": {
-            "w_len": s.config.w_len,
-            "w_acc": s.config.w_acc,
-            "w_curv": s.config.w_curv,
-            "w_col": s.config.w_col,
-            "d_safe_m": s.config.d_safe,
-            "learning_rate": s.config.learning_rate,
-            "iterations": s.config.iterations,
-            "clearance_voxels": s.config.clearance_voxels,
-            "eps_curv": s.config.eps_curv,
-        },
-        "frames": {"total_frames": s.total_frames, "velocity_profile": s.profile.value},
-        "camera": {
-            "fx_px": s.camera.fx,
-            "fy_px": s.camera.fy,
-            "cx_px": s.camera.cx,
-            "cy_px": s.camera.cy,
-            "width_px": s.camera.width,
-            "height_px": s.camera.height,
-            "rotation": [list(row) for row in np.asarray(s.camera.rotation)],
-            "translation_m": list(np.asarray(s.camera.translation)),
-        },
-        "actors": {"object_radius_m": s.object_radius, "gripper_radius_m": s.gripper_radius},
-    }
-    if s.cloud_path is not None:
-        d["cloud_path"] = s.cloud_path
-    if s.spec is not None:
-        spec = s.spec
-        d["scene"] = {
-            "primitives": [_prim_to_dict(p) for p in spec.primitives],
-            "effector_start_m": list(spec.effector_start),
-            "object_position_m": list(spec.object_position),
-            "place_target_m": list(spec.place_target),
-        }
-        if spec.grasp_offset is not None:
-            d["scene"]["grasp_offset_m"] = list(spec.grasp_offset)
-    return d
+def _dims(value, name: str) -> tuple:
+    if not isinstance(value, (list, tuple)) or len(value) != 3 or 0 in value:
+        raise ParseError(f"{name} must be 3 integers >= 1, got {value!r}")
+    return tuple(_non_negative_int(v, name) for v in value)
 
 
-def _non_negative_int(value, name: str) -> int:
-    # bool is an int subclass, and int() would truncate 2.7 to 2
-    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-        raise ParseError(f"{name} must be a non-negative integer, got {value!r}")
+def _schema_version(value, name: str) -> int:
+    if _non_negative_int(value, name) != SCHEMA_VERSION:
+        raise ParseError(f"{name} must be {SCHEMA_VERSION}, got {value!r}")
     return value
 
 
-def _dims(value) -> tuple:
-    if not isinstance(value, (list, tuple)) or len(value) != 3 or 0 in value:
-        raise ParseError(f"grid.dims must be 3 integers >= 1, got {value!r}")
-    return tuple(_non_negative_int(v, "grid.dims") for v in value)
-
-
-def _section(value, name: str) -> dict:
+def _object(value, name: str) -> dict:
     if not isinstance(value, dict):
         raise ParseError(f"{name} must be a JSON object, got {value!r}")
     return value
 
 
+# A primitive's JSON keys are "type" (its class name in lower case) and its
+# dataclass fields, each read by the checker of the field's annotation.
+_BY_ANNOTATION = {Vec3: _vec3, float: _finite, int: _non_negative_int, str: _string}
+_PRIMITIVES = {
+    cls.__name__.lower(): (cls, {k: _BY_ANNOTATION[t] for k, t in get_type_hints(cls).items()})
+    for cls in (Box, Sphere, Plane)
+}
+
+
+def _primitives(value, name: str) -> tuple:
+    if not isinstance(value, list):
+        raise ParseError(f"{name} must be a list, got {value!r}")
+    out = []
+    for p in value:
+        tag = _object(p, f"{name} entry").get("type")
+        if tag not in _PRIMITIVES:
+            raise ParseError(f"unknown primitive type {tag!r}")
+        cls, checkers = _PRIMITIVES[tag]
+        unknown = [k for k in p if k != "type" and k not in checkers]
+        if unknown:
+            raise ParseError(f"unknown key {tag}.{unknown[0]}")
+        out.append(cls(**{k: checkers[k](v, f"{tag}.{k}") for k, v in p.items() if k != "type"}))
+    return tuple(out)
+
+
+_REQUIRED, _INHERIT = object(), object()
+
+# The one list of scenario-file keys: (dotted file key, Scenario attribute
+# path, kind, default). The kind checks a value as the file holds it. An
+# absent key is an error if the default is _REQUIRED, leaves the dataclass
+# default in force if it is _INHERIT, and takes the default otherwise.
+# scenario.json writes every value that is not None; schema_version has no
+# attribute and always writes its default.
+_FIELDS = (
+    ("schema_version", None, _schema_version, SCHEMA_VERSION),
+    ("name", "name", _string, "scenario"),
+    ("cloud_path", "cloud_path", _string, None),
+    ("grid.dims", "dims", _dims, _REQUIRED),
+    ("grid.min_corner_m", "bounds.min_corner", _vec3, _REQUIRED),
+    ("grid.voxel_size_m", "bounds.voxel_size", _finite, _REQUIRED),
+    ("planner.w_len", "config.w_len", _finite, _INHERIT),
+    ("planner.w_acc", "config.w_acc", _finite, _INHERIT),
+    ("planner.w_curv", "config.w_curv", _finite, _INHERIT),
+    ("planner.w_col", "config.w_col", _finite, _INHERIT),
+    ("planner.d_safe_m", "config.d_safe", _finite, _INHERIT),  # absent: 2 voxels
+    ("planner.learning_rate", "config.learning_rate", _finite, _INHERIT),
+    ("planner.iterations", "config.iterations", _non_negative_int, _INHERIT),
+    ("planner.clearance_voxels", "config.clearance_voxels", _non_negative_int, _INHERIT),
+    ("planner.eps_curv", "config.eps_curv", _finite, _INHERIT),
+    ("frames.total_frames", "total_frames", _non_negative_int, 49),
+    ("frames.velocity_profile", "profile", lambda v, _: VelocityProfile(v), VelocityProfile.SINE),
+    ("camera.fx_px", "camera.fx", _finite, _REQUIRED),
+    ("camera.fy_px", "camera.fy", _finite, _REQUIRED),
+    ("camera.cx_px", "camera.cx", _finite, _REQUIRED),
+    ("camera.cy_px", "camera.cy", _finite, _REQUIRED),
+    ("camera.width_px", "camera.width", _non_negative_int, _REQUIRED),
+    ("camera.height_px", "camera.height", _non_negative_int, _REQUIRED),
+    ("camera.rotation", "camera.rotation", _matrix3, _REQUIRED),
+    ("camera.translation_m", "camera.translation", _vec3, _REQUIRED),
+    ("actors.object_radius_m", "object_radius", _finite, _REQUIRED),
+    ("actors.gripper_radius_m", "gripper_radius", _finite, _REQUIRED),
+    ("scene.primitives", "spec.primitives", _primitives, ()),
+    ("scene.effector_start_m", "spec.effector_start", _vec3, _REQUIRED),
+    ("scene.object_position_m", "spec.object_position", _vec3, _REQUIRED),
+    ("scene.place_target_m", "spec.place_target", _vec3, _REQUIRED),
+    ("scene.grasp_offset_m", "spec.grasp_offset", _vec3, _INHERIT),
+)
+_PATHS = {tuple(row[0].split(".")) for row in _FIELDS}
+_SECTIONS = {path[0] for path in _PATHS if len(path) == 2}
+# the Scenario fields that are dataclasses of their own, in the order they are built
+_PARTS = {"bounds": GridBounds, "config": PlannerConfig, "spec": SceneSpec, "camera": CameraModel}
+
+
 def scenario_from_dict(d: dict) -> Scenario:
     try:
-        _section(d, "scenario")
-        for key in ("name", "cloud_path"):
-            if not isinstance(d.get(key, ""), str):
-                raise ParseError(f"{key} must be a string, got {d[key]!r}")
-        grid = _section(d["grid"], "grid")
-        bounds = GridBounds(
-            tuple(grid["min_corner_m"]), _finite(grid["voxel_size_m"], "grid.voxel_size_m")
-        )
-        planner = _section(d.get("planner", {}), "planner")
-        config = PlannerConfig(
-            w_len=_finite(planner.get("w_len", 1.0), "planner.w_len"),
-            w_acc=_finite(planner.get("w_acc", 1.0), "planner.w_acc"),
-            w_curv=_finite(planner.get("w_curv", 0.1), "planner.w_curv"),
-            w_col=_finite(planner.get("w_col", 10.0), "planner.w_col"),
-            d_safe=_finite(planner.get("d_safe_m", 2.0 * bounds.voxel_size), "planner.d_safe_m"),
-            learning_rate=_finite(planner.get("learning_rate", 0.1), "planner.learning_rate"),
-            iterations=_non_negative_int(planner.get("iterations", 200), "planner.iterations"),
-            clearance_voxels=_non_negative_int(
-                planner.get("clearance_voxels", 1), "planner.clearance_voxels"
-            ),
-            eps_curv=_finite(planner.get("eps_curv", 1e-6), "planner.eps_curv"),
-        )
-        spec = None
-        if "scene" in d:
-            sc = _section(d["scene"], "scene")
-            spec = SceneSpec(
-                primitives=tuple(_prim_from_dict(p) for p in sc.get("primitives", [])),
-                effector_start=_vec3(sc["effector_start_m"], "scene.effector_start_m"),
-                object_position=_vec3(sc["object_position_m"], "scene.object_position_m"),
-                place_target=_vec3(sc["place_target_m"], "scene.place_target_m"),
-                grasp_offset=(
-                    _vec3(sc["grasp_offset_m"], "scene.grasp_offset_m")
-                    if "grasp_offset_m" in sc
-                    else None
-                ),
-            )
-        cam = _section(d["camera"], "camera")
-        camera = CameraModel(
-            fx=_finite(cam["fx_px"], "camera.fx_px"),
-            fy=_finite(cam["fy_px"], "camera.fy_px"),
-            cx=_finite(cam["cx_px"], "camera.cx_px"),
-            cy=_finite(cam["cy_px"], "camera.cy_px"),
-            width=_non_negative_int(cam["width_px"], "camera.width_px"),
-            height=_non_negative_int(cam["height_px"], "camera.height_px"),
-            rotation=np.asarray(cam["rotation"], dtype=np.float64),
-            translation=np.asarray(cam["translation_m"], dtype=np.float64),
-        )
-        frames = _section(d.get("frames", {}), "frames")
-        actors = _section(d["actors"], "actors")
-        return Scenario(
-            name=d.get("name", "scenario"),
-            dims=_dims(grid["dims"]),
-            bounds=bounds,
-            spec=spec,
-            cloud_path=d.get("cloud_path"),
-            config=config,
-            total_frames=_non_negative_int(
-                frames.get("total_frames", 49), "frames.total_frames"
-            ),
-            profile=VelocityProfile(frames.get("velocity_profile", "sine")),
-            camera=camera,
-            object_radius=_finite(actors["object_radius_m"], "actors.object_radius_m"),
-            gripper_radius=_finite(actors["gripper_radius_m"], "actors.gripper_radius_m"),
-        )
-    except ParseError:
-        raise
+        flat = {}  # the file's values by key path
+        for name, value in _object(d, "scenario").items():
+            if name in _SECTIONS:
+                flat.update(((name, k), v) for k, v in _object(value, name).items())
+            else:
+                flat[(name,)] = value
+        unknown = [".".join(path) for path in flat if path not in _PATHS]
+        if unknown:
+            raise ParseError(f"unknown key {unknown[0]}")
+        args = {"": {}, **{part: {} for part in _PARTS}}
+        for key, attr, kind, default in _FIELDS:
+            path = tuple(key.split("."))
+            value = kind(flat[path], key) if path in flat else default
+            if value is _REQUIRED:
+                raise ParseError(f"{key} is required")
+            if value is not _INHERIT and attr is not None:
+                part, _, field = attr.rpartition(".")
+                args[part][field] = value
+        args["config"].setdefault("d_safe", 2.0 * args["bounds"]["voxel_size"])
+        return Scenario(**args[""], **{part: cls(**args[part]) for part, cls in _PARTS.items()})
     except (KeyError, TypeError, ValueError, OverflowError) as e:
         raise ParseError(f"bad scenario: {e}") from e
+
+
+def _json(value):
+    """A scenario value as the file's JSON, in fresh lists and dicts."""
+    if isinstance(value, VelocityProfile):
+        return value.value
+    if is_dataclass(value):  # a primitive
+        fields_json = {f.name: _json(getattr(value, f.name)) for f in fields(value)}
+        return {"type": type(value).__name__.lower(), **fields_json}
+    if isinstance(value, (tuple, list, np.ndarray)):
+        return [_json(v) for v in value]
+    return value
+
+
+def scenario_to_dict(s: Scenario) -> dict:
+    d = {}
+    for key, attr, _, default in _FIELDS:
+        value = default if attr is None else attrgetter(attr)(s)
+        if value is not None:
+            section, _, leaf = key.rpartition(".")
+            (d.setdefault(section, {}) if section else d)[leaf] = _json(value)
+    return d
 
 
 def _dump_json(obj, path) -> None:

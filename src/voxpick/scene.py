@@ -114,6 +114,10 @@ class Sphere:
     radius_m: float
     name: str = "sphere"
 
+    def __post_init__(self):
+        if not self.radius_m > 0:  # NaN fails too
+            raise ParseError(f"sphere.radius_m must be positive, got {self.radius_m}")
+
     def contains(self, p: np.ndarray) -> np.ndarray:
         d = p - np.asarray(self.center_m)
         return np.einsum("...k,...k->...", d, d) <= self.radius_m**2
@@ -128,6 +132,12 @@ class Plane:
     offset_m: float
     side: str = "below"
     name: str = "plane"
+
+    def __post_init__(self):
+        if self.axis not in (0, 1, 2):
+            raise ParseError(f"plane.axis must be 0, 1 or 2, got {self.axis!r}")
+        if self.side not in ("below", "above"):
+            raise ParseError(f"plane.side must be 'below' or 'above', got {self.side!r}")
 
     def contains(self, p: np.ndarray) -> np.ndarray:
         coord = p[..., self.axis]

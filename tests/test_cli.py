@@ -1,5 +1,7 @@
 """Command-line interface: subcommands, exit codes, and error lines."""
 
+import contextlib
+import io
 import json
 import os
 import shutil
@@ -9,6 +11,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import voxpick
 from voxpick.cli import main, report_tables
@@ -42,6 +46,16 @@ def test_synth_clutter_is_seeded(tmp_path):
     assert main(["synth", "--out", str(c), "--clutter", "4", "--seed", "12"]) == 0
     assert a.read_bytes() == b.read_bytes()
     assert a.read_bytes() != c.read_bytes()
+
+
+@pytest.mark.parametrize("flag, value", [("--seed", "-1"), ("--clutter", "-2")])
+def test_synth_rejects_a_negative_seed_or_clutter(tmp_path, capsys, flag, value):
+    argv = {"--out": str(tmp_path / "t.json"), "--clutter": "3", "--seed": "0", flag: value}
+    rc = main(["synth"] + [a for item in argv.items() for a in item])
+    lines = capsys.readouterr().err.splitlines()
+    assert rc == 2
+    assert len(lines) == 1 and lines[0].startswith(f"error:parse:parse: {flag} "), lines
+    assert not (tmp_path / "t.json").exists()
 
 
 def test_plan_missing_scenario_exits_2(tmp_path, capsys):
@@ -139,13 +153,23 @@ def _position(key, literal):
     return edit
 
 
+def _record(k, key, value):
+    def edit(recs):
+        recs[k][key] = value
+
+    return edit
+
+
 @pytest.mark.parametrize("command", ["report", "masks"])
 @pytest.mark.parametrize(
     "edit",
     [_reopen_gripper_mid_manipulate, _approach_after_manipulate, _renumber_frame, _list_record,
-     _position("x_m", "NaN"), _position("y_m", "Infinity"), _position("z_m", "-Infinity")],
+     _position("x_m", "NaN"), _position("y_m", "Infinity"), _position("z_m", "-Infinity"),
+     _record(5, "x_m", "6.8"), _record(5, "y_m", True), _record(1, "frame", True),
+     _record(1, "frame", 1.0)],
     ids=["gripper-not-of-stage", "stage-out-of-order", "frame-not-row", "record-not-object",
-         "x-NaN", "y-Infinity", "z--Infinity"],
+         "x-NaN", "y-Infinity", "z--Infinity", "x-string", "y-true", "frame-true",
+         "frame-float"],
 )
 def test_inconsistent_trajectory_is_a_corrupt_bundle(planned, tmp_path, capsys, command, edit):
     _, bundle = planned
@@ -160,6 +184,60 @@ def test_inconsistent_trajectory_is_a_corrupt_bundle(planned, tmp_path, capsys, 
     lines = capsys.readouterr().err.splitlines()
     assert rc == 2
     assert len(lines) == 1 and lines[0].startswith("error:report:corrupt-bundle:"), lines
+
+
+@pytest.fixture(scope="module")
+def trajectory_bundle(planned, tmp_path_factory):
+    """The bundle files that ``report`` and ``masks`` read, without the masks."""
+    _, bundle = planned
+    root = tmp_path_factory.mktemp("records")
+    for name in ("scenario.json", "metrics.json", "trajectory_initial.jsonl",
+                 "trajectory_optimized.jsonl"):
+        shutil.copy(bundle / name, root / name)
+    return root
+
+
+_RECORD_KEYS = ["frame", "stage", "gripper", "x_m", "y_m", "z_m", "pre_opt_x_m", "extra"]
+_RECORD_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-2, 60), st.just(10**400),
+    st.floats(allow_nan=True, allow_infinity=True), st.text(max_size=3),
+    st.sampled_from(["approach", "manipulate", "back_idle", "open", "closed", "6.8"]),
+    st.lists(st.integers(0, 2), max_size=3), st.dictionaries(st.text(max_size=2), st.none()),
+)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    name=st.sampled_from(["trajectory_initial.jsonl", "trajectory_optimized.jsonl"]),
+    k=st.integers(0, 48),
+    key=st.sampled_from(_RECORD_KEYS),
+    value=st.one_of(st.just("delete"), _RECORD_VALUES),
+)
+def test_one_edited_record_field_is_ok_or_a_corrupt_bundle(trajectory_bundle, tmp_path_factory,
+                                                           name, k, key, value):
+    path = trajectory_bundle / name
+    text = path.read_text()
+    recs = [json.loads(line) for line in text.splitlines()]
+    if value == "delete":
+        recs[k].pop(key, None)
+    else:
+        recs[k][key] = value
+    path.write_text("".join(json.dumps(r) + "\n" for r in recs))
+    out = str(tmp_path_factory.getbasetemp() / "record-masks")
+    try:
+        for argv in (["report", str(trajectory_bundle)], ["masks", str(trajectory_bundle),
+                                                          "--out", out]):
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                rc = main(argv)
+            lines = err.getvalue().splitlines()
+            if rc == 0:
+                assert lines == []
+            else:
+                assert rc == 2
+                assert len(lines) == 1 and lines[0].startswith("error:report:corrupt-bundle:")
+    finally:
+        path.write_text(text)
 
 
 @pytest.mark.parametrize(
@@ -389,6 +467,20 @@ def _set(section, key, value):
         _add_primitive({"type": "sphere", "name": 5, "center_m": [1.0, 1.0, 1.0],
                         "radius_m": 0.5}),
         _add_primitive({"type": "plane", "name": 5, "axis": 2, "offset_m": 0.0}),
+        _set("planner", "w_coll", 3.0),
+        _set(None, "bogus", 1),
+        _set("camera", "fov", 60.0),
+        _add_primitive({"type": "box", "min_m": [0.0, 0.0, 0.0], "max_m": [1.0, 1.0, 1.0],
+                        "size_m": [1.0, 1.0, 1.0]}),
+        _set("grid", "min_corner_m", [True, 0, 0]),
+        _set("grid", "min_corner_m", ["0", "0", "0"]),
+        _set("camera", "rotation", [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]),
+        _set("camera", "rotation", [[True, False, False], [False, True, False],
+                                    [False, False, True]]),
+        _set("camera", "translation_m", ["0", "0", "20"]),
+        _set(None, "schema_version", 2),
+        _set(None, "schema_version", "1"),
+        _set(None, "schema_version", True),
     ],
     ids=[
         "width-0", "height-0", "fx-nan", "cx-inf", "translation-nan", "rotation-nan",
@@ -402,6 +494,9 @@ def _set(section, key, value):
         "eps-curv-string", "voxel-size-string", "fx-string", "fy-true", "cx-string",
         "cy-false", "object-radius-string", "gripper-radius-true", "name-list",
         "cloud-path-5", "cloud-path-0", "box-name-5", "sphere-name-5", "plane-name-5",
+        "unknown-planner-w_coll", "unknown-top-bogus", "unknown-camera-fov", "unknown-box-size_m",
+        "min-corner-true", "min-corner-strings", "rotation-strings", "rotation-bools",
+        "translation-strings", "schema-version-2", "schema-version-string", "schema-version-true",
     ],
 )
 def test_plan_rejects_bad_camera_keypoints_and_primitives(planned, tmp_path, capsys, edit):

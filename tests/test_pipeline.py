@@ -4,15 +4,19 @@ determinism."""
 import hashlib
 import json
 import os
-from dataclasses import replace
+from dataclasses import fields, is_dataclass, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from voxpick import pipeline
 from voxpick.errors import ParseError, VoxpickError
 from voxpick.grid_planner import Stage, SubTrajectory, Trajectory
+from voxpick.optimizer import PlannerConfig
 from voxpick.pipeline import (
+    Scenario,
     actor_frames,
     load_scenario,
     run,
@@ -21,7 +25,8 @@ from voxpick.pipeline import (
     scenario_to_dict,
     write_bundle,
 )
-from voxpick.projection import PALETTE, read_pgm
+from voxpick.projection import PALETTE, CameraModel, read_pgm
+from voxpick.scene import GridBounds, SceneSpec
 from voxpick.templates import TEMPLATES, empty_scenario, make_template, sink_scenario
 
 
@@ -63,6 +68,66 @@ def test_scenario_rejects_garbage():
         scenario_from_dict({"grid": {"dims": [2, 2]}})
     with pytest.raises(ParseError, match="scenario must be a JSON object"):
         scenario_from_dict([])
+
+
+def test_every_config_field_has_exactly_one_file_key():
+    # a field without a row would be dropped from scenario.json without a word
+    parts = {"bounds": GridBounds, "config": PlannerConfig, "spec": SceneSpec,
+             "camera": CameraModel}
+    sink = sink_scenario()
+    assert {f.name for f in fields(Scenario) if is_dataclass(getattr(sink, f.name))} == set(parts)
+    want = [f.name for f in fields(Scenario) if f.name not in parts]
+    want += [f"{part}.{f.name}" for part, cls in parts.items() for f in fields(cls)]
+    rows = [attr for _, attr, _, _ in pipeline._FIELDS if attr is not None]
+    assert sorted(rows) == sorted(want)
+
+
+_SINK_JSON = json.dumps(scenario_to_dict(sink_scenario()))
+_WRONG = [None, True, False, "1", "x", [], [1.0], {}, float("nan"), float("inf"), -float("inf"),
+          -1, -0.5, 0, 2.5, 10**400]
+
+
+def _entries(node, path=()):
+    """(path of the enclosing object or list, key) of every entry below ``node``."""
+    for k in list(node) if isinstance(node, dict) else range(len(node)):
+        yield path, k
+        if isinstance(node[k], (dict, list)):
+            yield from _entries(node[k], path + (k,))
+
+
+# every row's key, present in the sink or not, and every entry of the sink's
+# sections, lists and primitives
+_TARGETS = list(dict.fromkeys(
+    [(tuple(key.split(".")[:-1]), key.split(".")[-1]) for key, *_ in pipeline._FIELDS]
+    + list(_entries(json.loads(_SINK_JSON)))
+))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(_TARGETS), st.sampled_from(["replace", "delete", "add"]),
+       st.sampled_from(_WRONG))
+def test_one_mutated_field_parses_or_exits_2(target, action, wrong):
+    path, k = target
+    d = node = json.loads(_SINK_JSON)
+    for p in path:
+        node = node[p]
+    if action == "replace":
+        node[k] = wrong
+    elif action == "delete" and (isinstance(node, list) or k in node):
+        del node[k]
+    elif action == "add":
+        if isinstance(node, dict):
+            node["bogus_key"] = wrong
+        else:
+            node.append(wrong)
+    extra_key = action == "add" and isinstance(node, dict)
+    try:
+        scenario = scenario_from_dict(d)
+    except VoxpickError as e:
+        assert e.exit_code == 2, e.cli_line()
+        assert "unknown key" in str(e) or not extra_key, e.cli_line()
+    else:
+        assert isinstance(scenario, Scenario) and not extra_key
 
 
 def test_make_template_names():
