@@ -1,8 +1,11 @@
 """First-order refinement of the initial trajectory.
 
 Each sub-trajectory descends the weighted objective
-w_len*L_len + w_acc*L_acc + w_curv*L_curv + w_col*L_col with Adam; the
-first and last waypoint of every sub-trajectory stay frozen.
+w_len*L_len + w_acc*L_acc + w_curv*L_curv + w_col*L_col with CHOMP's
+covariant gradient step (Ratliff et al. 2009): P[1:-1] -= learning_rate *
+A^-1 g[1:-1], A = K^T K = tridiag(-1, 2, -1) for K the first differences
+of the interior with the endpoints frozen. A^-1 spreads each waypoint's
+gradient smoothly over the whole leg, and the step keeps no state.
 
 Iterate selection prefers feasibility: among all iterates seen (including
 the input), a collision-free one (L_col = 0, i.e. every waypoint at least
@@ -24,10 +27,6 @@ from .errors import NonFiniteLoss
 from .grid_planner import Trajectory
 from .losses import loss_acc, loss_col, loss_curv, loss_length
 
-ADAM_BETA1 = 0.9
-ADAM_BETA2 = 0.999
-ADAM_EPS = 1e-8
-
 
 @dataclass(frozen=True)
 class PlannerConfig:
@@ -36,7 +35,7 @@ class PlannerConfig:
     w_curv: float = 0.1
     w_col: float = 10.0
     d_safe: float = 0.02  # meters; scenarios default to 2 * voxel_size
-    learning_rate: float = 0.1
+    learning_rate: float = 0.01  # the covariant step size
     iterations: int = 200
     eps_curv: float = 1e-6
     clearance_voxels: int = 1
@@ -116,44 +115,35 @@ def evaluate_losses(
     return LossTerms(col=v_col, length=v_len, acc=v_acc, curv=v_curv, total=total), grad
 
 
+def _inverse_metric(m: int) -> np.ndarray:
+    """A^-1 for A = tridiag(-1, 2, -1) over m interior waypoints, in closed
+    form: (A^-1)_ij = min(i, j) (m + 1 - max(i, j)) / (m + 1), 1-based."""
+    i = np.arange(1, m + 1)
+    return np.minimum.outer(i, i) * (m + 1 - np.maximum.outer(i, i)) / (m + 1)
+
+
 def _optimize_points(
     P0: np.ndarray, field: DistanceField, config: PlannerConfig
 ) -> Tuple[np.ndarray, LossTerms, LossTerms, List[float]]:
-    """Adam descent with frozen endpoints; returns the best iterate,
-    preferring collision-free ones (see module docstring)."""
+    """Covariant descent of the interior waypoints; returns the best
+    iterate, preferring collision-free ones (see module docstring)."""
     P = np.array(P0, dtype=np.float64)
-    terms0, _ = evaluate_losses(P, field, config)
-    if not np.isfinite(terms0.total):
-        raise NonFiniteLoss("initial objective is non-finite", iteration=0)
-    if len(P) <= 2:
-        return P, terms0, terms0, [terms0.total]
-
-    m = np.zeros_like(P)
-    v = np.zeros_like(P)
-    b1, b2, eps = ADAM_BETA1, ADAM_BETA2, ADAM_EPS
-    iterates = [(terms0, P)]  # P is rebound, never written in place
-    for t in range(1, config.iterations + 1):
+    A_inv = _inverse_metric(len(P) - 2)
+    iterates = []  # (terms, P) of the input, then one per step
+    for t in range(config.iterations + 1 if len(P) > 2 else 1):
+        if t:
+            P = P.copy()  # each iterate keeps its own array
+            P[1:-1] -= config.learning_rate * (A_inv @ grad[1:-1])
         terms, grad = evaluate_losses(P, field, config)
         if not np.isfinite(terms.total) or not np.isfinite(grad).all():
-            raise NonFiniteLoss("objective became non-finite", iteration=t)
+            raise NonFiniteLoss("objective is non-finite", iteration=t)
         iterates.append((terms, P))
-        grad[0] = 0.0
-        grad[-1] = 0.0
-        m = b1 * m + (1.0 - b1) * grad
-        v = b2 * v + (1.0 - b2) * grad * grad
-        m_hat = m / (1.0 - b1**t)
-        v_hat = v / (1.0 - b2**t)
-        P = P - config.learning_rate * m_hat / (np.sqrt(v_hat) + eps)
-
-    terms, _ = evaluate_losses(P, field, config)
-    if not np.isfinite(terms.total):
-        raise NonFiniteLoss("objective became non-finite", iteration=config.iterations)
-    iterates.append((terms, P))
 
     # a collision-free iterate no worse than the input, else the lowest
     # total; min keeps the earliest of equals. A collision-free iterate
     # tied for the lowest total is no worse than the input, so it wins the
     # tie against a colliding one.
+    terms0 = iterates[0][0]
     best_terms, best_P = min(
         iterates,
         key=lambda it: (not (it[0].col == 0.0 and it[0].total <= terms0.total), it[0].total),
@@ -170,7 +160,7 @@ def optimize_trajectory(
 
     Endpoints of each sub-trajectory are returned bit-identical to the
     input, so the stage junctions stay pinned to the scenario keypoints:
-    their gradient rows are zeroed, so Adam's step on them is exactly 0.
+    the step writes only the interior rows.
     """
     subs = []
     per_before: Dict[str, LossTerms] = {}

@@ -52,8 +52,9 @@ class CameraModel:
             raise ValueError(f"image must be at least 1x1 px: {self.width}x{self.height}")
         if not np.isfinite([self.fx, self.fy, self.cx, self.cy]).all():
             raise ValueError("intrinsics must be finite")
-        if self.fx <= 0 or self.fy <= 0:
-            raise ValueError(f"focal lengths must be positive: fx={self.fx} fy={self.fy}")
+        # a visible sphere has Z > R, so r_px = fx R / Z < fx cannot overflow r_px**2
+        if not (0 < self.fx <= 1e6 and 0 < self.fy <= 1e6):
+            raise ValueError(f"focal lengths must be in (0, 1e6] px: fx={self.fx} fy={self.fy}")
         # written so that a NaN norm fails too
         if not np.linalg.norm(R.T @ R - np.eye(3)) < 1e-9:
             raise ValueError("rotation is not orthonormal")

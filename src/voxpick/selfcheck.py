@@ -195,16 +195,24 @@ def check_velocity_profile(bundle) -> str:
         if abs(count - share) >= 1.0:
             raise AssertionError(f"count {count} vs share {share}: off by >= 1")
 
-    worst = max(sine_fit(timed, stage) for stage in Stage)
-    if worst >= 0.05:
-        raise AssertionError(f"speed profile deviates from sine by {worst:.3f}")
+    worst, worst_opt = (max(sine_fit(t, stage) for stage in Stage)
+                        for t in (timed, bundle.timed_optimized))
+    if max(worst, worst_opt) >= 0.05:
+        raise AssertionError(f"speed profile deviates from sine by {worst:.3f} "
+                             f"(optimized {worst_opt:.3f})")
+    for sub in bundle.optimized.subs:
+        d = np.diff(sub.points, axis=0)  # a negative dot product turns back
+        turns = int((np.sum(d[:-1] * d[1:], axis=1) < 0).sum())
+        if turns:
+            raise AssertionError(f"optimized {sub.stage.value} leg turns back {turns} times")
 
     arc_in = arc_length(bundle.initial.waypoints())
     arc_out = arc_length(timed.positions)
     loss = abs(arc_in - arc_out) / arc_in
     if loss >= 0.01:
         raise AssertionError(f"arc length changed by {loss:.3%} under reallocation")
-    return f"max sine deviation {worst:.3f}, arc length drift {loss:.4%}"
+    return (f"max sine deviation {worst:.3f} (optimized {worst_opt:.3f}), "
+            f"arc length drift {loss:.4%}")
 
 
 def check_projection_fidelity() -> str:

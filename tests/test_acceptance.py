@@ -59,8 +59,10 @@ def test_criterion_05_sink_obstacle_avoidance(sink_bundle):
 
 
 def test_criterion_06_sine_velocity_profile(sink_bundle):
-    # per-stage chord speeds track sin(pi (k+1/2)/(n-1)) within 0.05,
-    # frame counts match arc-length shares within 1, arc length within 1%
+    # per-stage chord speeds of the initial and the optimized timed
+    # trajectory track sin(pi (k+1/2)/(n-1)) within 0.05, no optimized leg
+    # turns back, frame counts match arc-length shares within 1, arc
+    # length within 1%
     check_velocity_profile(sink_bundle)
 
 

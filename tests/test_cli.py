@@ -421,6 +421,8 @@ def _set(section, key, value):
         lambda d: d["camera"].update(height_px=0),
         lambda d: d["camera"].update(fx_px=float("nan")),
         lambda d: d["camera"].update(cx_px=float("inf")),
+        lambda d: d["camera"].update(fx_px=1e200),
+        lambda d: d["camera"].update(fy_px=1e200),
         lambda d: d["camera"].update(translation_m=[float("nan"), 0.0, 0.0]),
         lambda d: d["camera"].update(rotation=[[float("nan")] * 3] * 3),
         _nan_first("effector_start_m"),
@@ -483,7 +485,8 @@ def _set(section, key, value):
         _set(None, "schema_version", True),
     ],
     ids=[
-        "width-0", "height-0", "fx-nan", "cx-inf", "translation-nan", "rotation-nan",
+        "width-0", "height-0", "fx-nan", "cx-inf", "fx-1e200", "fy-1e200",
+        "translation-nan", "rotation-nan",
         "effector-start-nan", "place-target-nan", "grasp-point-outside", "grasp-offset-nan",
         "min-corner-nan", "effector-start-1-number", "object-position-4-numbers",
         "place-target-string", "grasp-offset-2-numbers", "dims-0", "dims-2-numbers",

@@ -11,6 +11,7 @@ from voxpick import optimizer
 from voxpick.optimizer import (
     LossTerms,
     PlannerConfig,
+    _inverse_metric,
     _optimize_points,
     evaluate_losses,
     optimize_trajectory,
@@ -85,13 +86,13 @@ def test_feasible_iterates_win_over_lower_objective():
 def _kept_iterate(monkeypatch, script):
     """Index of the iterate _optimize_points keeps when the objective
     returns the scripted (col, total) pairs in order: the input, then one
-    per iteration, then the final iterate."""
+    per iteration."""
     terms = [LossTerms(col=c, length=0.0, acc=0.0, curv=0.0, total=t) for c, t in script]
     calls = iter(terms)
     monkeypatch.setattr(
         optimizer, "evaluate_losses", lambda P, fld, cfg: (next(calls), np.ones_like(P))
     )
-    cfg = PlannerConfig(iterations=len(script) - 2)
+    cfg = PlannerConfig(iterations=len(script) - 1)
     _, _, after, trace = _optimize_points(np.zeros((4, 3)), None, cfg)
     assert trace == [t for _, t in script]
     return next(k for k, t in enumerate(terms) if t is after)
@@ -116,6 +117,23 @@ def _kept_iterate(monkeypatch, script):
 )
 def test_iterate_choice(monkeypatch, script, kept):
     assert _kept_iterate(monkeypatch, script) == kept
+
+
+@pytest.mark.parametrize("m", range(1, 41))
+def test_inverse_metric_closed_form(m):
+    A = 2.0 * np.eye(m) - np.eye(m, k=1) - np.eye(m, k=-1)
+    np.testing.assert_allclose(_inverse_metric(m), np.linalg.inv(A), rtol=0, atol=1e-9)
+
+
+def test_each_iterate_is_evaluated_once():
+    # the trace holds the input, then one total per step; a smooth leg
+    # over an empty field shortens on every step, so no two totals repeat
+    fld = _empty_field()
+    P0 = np.stack([np.linspace(0.5, 3.5, 8), np.full(8, 2.0), np.full(8, 2.0)], axis=1)
+    P0[1:-1, 2] += np.sin(np.linspace(0.0, np.pi, 8))[1:-1]
+    _, before, _, trace = _optimize_points(P0, fld, PlannerConfig(iterations=5))
+    assert len(trace) == 6 and trace[0] == before.total
+    assert all(a > b for a, b in zip(trace, trace[1:]))
 
 
 def test_non_finite_input_raises():
