@@ -22,7 +22,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from .errors import CorruptBundle, OracleMismatch, ParseError, VoxpickError
+from .errors import CorruptBundle, DegeneratePath, OracleMismatch, ParseError, VoxpickError
 from .grid_planner import STAGE_ORDER, Stage
 from .pipeline import (
     Scenario,
@@ -186,7 +186,10 @@ def _timed_from_bundle(bundle_dir: str, name: str) -> TimedTrajectory:
         raise CorruptBundle(f"{path} line {line_no + 1}: {e}") from e
     if not stages:
         raise CorruptBundle(f"{path}: no frames")
-    return TimedTrajectory(np.array(positions), tuple(stages))
+    try:
+        return TimedTrajectory(np.array(positions), tuple(stages))
+    except DegeneratePath as e:
+        raise CorruptBundle(f"{path}: {e}") from e
 
 
 def cmd_masks(args) -> int:

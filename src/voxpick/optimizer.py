@@ -7,6 +7,10 @@ A^-1 g[1:-1], A = K^T K = tridiag(-1, 2, -1) for K the first differences
 of the interior with the endpoints frozen. A^-1 spreads each waypoint's
 gradient smoothly over the whole leg, and the step keeps no state.
 
+The three legs are stacked into one array, so each iteration evaluates the
+objective once for all of them with the terms across a junction left out;
+each leg steps with its own A^-1 and keeps its own iterate, as if alone.
+
 Iterate selection prefers feasibility: among all iterates seen (including
 the input), a collision-free one (L_col = 0, i.e. every waypoint at least
 d_safe from matter) with the lowest objective wins over any violating
@@ -17,8 +21,8 @@ returned. Either way the reported objective never increases.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Dict, List, Tuple
+from dataclasses import astuple, dataclass, replace
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -93,26 +97,22 @@ class LossReport:
 
 
 def evaluate_losses(
-    P: np.ndarray, field: DistanceField, config: PlannerConfig
-) -> Tuple[LossTerms, np.ndarray]:
-    """Weighted objective and its gradient over one waypoint array."""
-    v_col, g_col = loss_col(P, field, config.d_safe)
-    v_len, g_len = loss_length(P)
-    v_acc, g_acc = loss_acc(P)
-    v_curv, g_curv = loss_curv(P, config.eps_curv)
-    total = (
-        config.w_col * v_col
-        + config.w_len * v_len
-        + config.w_acc * v_acc
-        + config.w_curv * v_curv
-    )
-    grad = (
-        config.w_col * g_col
-        + config.w_len * g_len
-        + config.w_acc * g_acc
-        + config.w_curv * g_curv
-    )
-    return LossTerms(col=v_col, length=v_len, acc=v_acc, curv=v_curv, total=total), grad
+    P: np.ndarray, field: DistanceField, config: PlannerConfig, legs: Sequence[Tuple[int, int]]
+) -> Tuple[List[LossTerms], np.ndarray]:
+    """Weighted objective of each leg, given as its (start, stop) rows of the
+    stacked waypoint array P, and the gradient over all of P."""
+    v_col, g_col = loss_col(P, field, config.d_safe, legs)
+    v_len, g_len = loss_length(P, legs)
+    v_acc, g_acc = loss_acc(P, legs)
+    v_curv, g_curv = loss_curv(P, config.eps_curv, legs)
+    terms = [
+        LossTerms(col, length, acc, curv, total=config.w_col * col + config.w_len * length
+                  + config.w_acc * acc + config.w_curv * curv)
+        for col, length, acc, curv in zip(v_col, v_len, v_acc, v_curv)
+    ]
+    grad = (config.w_col * g_col + config.w_len * g_len + config.w_acc * g_acc
+            + config.w_curv * g_curv)
+    return terms, grad
 
 
 def _inverse_metric(m: int) -> np.ndarray:
@@ -122,71 +122,50 @@ def _inverse_metric(m: int) -> np.ndarray:
     return np.minimum.outer(i, i) * (m + 1 - np.maximum.outer(i, i)) / (m + 1)
 
 
-def _optimize_points(
-    P0: np.ndarray, field: DistanceField, config: PlannerConfig
-) -> Tuple[np.ndarray, LossTerms, LossTerms, List[float]]:
-    """Covariant descent of the interior waypoints; returns the best
-    iterate, preferring collision-free ones (see module docstring)."""
-    P = np.array(P0, dtype=np.float64)
-    A_inv = _inverse_metric(len(P) - 2)
-    iterates = []  # (terms, P) of the input, then one per step
-    for t in range(config.iterations + 1 if len(P) > 2 else 1):
-        if t:
-            P = P.copy()  # each iterate keeps its own array
-            P[1:-1] -= config.learning_rate * (A_inv @ grad[1:-1])
-        terms, grad = evaluate_losses(P, field, config)
-        if not np.isfinite(terms.total) or not np.isfinite(grad).all():
-            raise NonFiniteLoss("objective is non-finite", iteration=t)
-        iterates.append((terms, P))
-
-    # a collision-free iterate no worse than the input, else the lowest
-    # total; min keeps the earliest of equals. A collision-free iterate
-    # tied for the lowest total is no worse than the input, so it wins the
-    # tie against a colliding one.
-    terms0 = iterates[0][0]
-    best_terms, best_P = min(
-        iterates,
-        key=lambda it: (not (it[0].col == 0.0 and it[0].total <= terms0.total), it[0].total),
-    )
-    return best_P, terms0, best_terms, [terms.total for terms, _ in iterates]
-
-
 def optimize_trajectory(
     traj: Trajectory,
     field: DistanceField,
     config: PlannerConfig,
 ) -> Tuple[Trajectory, LossReport]:
-    """Optimize the three sub-trajectories independently.
-
-    Endpoints of each sub-trajectory are returned bit-identical to the
-    input, so the stage junctions stay pinned to the scenario keypoints:
-    the step writes only the interior rows.
+    """Covariant descent of the three stacked sub-trajectories. Endpoints of
+    each are returned bit-identical to the input, so the stage junctions stay
+    pinned to the scenario keypoints: the step writes only the interior rows.
     """
-    subs = []
-    per_before: Dict[str, LossTerms] = {}
-    per_after: Dict[str, LossTerms] = {}
-    trace: Dict[str, List[float]] = {}
-    for sub in traj.subs:
-        P, terms0, terms1, tr = _optimize_points(sub.points, field, config)
-        subs.append(replace(sub, points=P))
+    stops = np.cumsum([len(sub.points) for sub in traj.subs]).tolist()
+    legs = list(zip([0] + stops[:-1], stops))
+    steps = [(o, e, _inverse_metric(e - o - 2)) for o, e in legs if e - o > 2]
+    P = np.concatenate([sub.points for sub in traj.subs], dtype=np.float64)
+    iterates = []  # (per-leg terms, P) of the input, then one per step
+    for t in range(config.iterations + 1 if steps else 1):
+        if t:
+            P = P.copy()  # each iterate keeps its own array
+            for o, e, A_inv in steps:
+                P[o + 1 : e - 1] -= config.learning_rate * (A_inv @ grad[o + 1 : e - 1])
+        terms, grad = evaluate_losses(P, field, config, legs)
+        for sub, (o, e), leg_terms in zip(traj.subs, legs, terms):
+            if not (np.isfinite(leg_terms.total) and np.isfinite(grad[o:e]).all()):
+                msg = f"{sub.stage.value}: objective is non-finite at iteration {t}"
+                raise NonFiniteLoss(msg, iteration=t)
+        iterates.append((terms, P))
+
+    subs, per_before, per_after, trace = [], {}, {}, {}
+    for k, (sub, (o, e)) in enumerate(zip(traj.subs, legs)):
+        # a leg without interior waypoints keeps its input, evaluated once
+        leg = [(terms[k], P) for terms, P in iterates[: len(iterates) if e - o > 2 else 1]]
+        # a collision-free iterate no worse than the input, else the lowest
+        # total; min keeps the earliest of equals. A collision-free iterate
+        # tied for the lowest total is no worse than the input, so it wins
+        # the tie against a colliding one.
+        terms0 = leg[0][0]
+        best_terms, best_P = min(leg, key=lambda it: (
+            not (it[0].col == 0.0 and it[0].total <= terms0.total), it[0].total))
+        subs.append(replace(sub, points=best_P[o:e]))
         per_before[sub.stage.value] = terms0
-        per_after[sub.stage.value] = terms1
-        trace[sub.stage.value] = tr
+        per_after[sub.stage.value] = best_terms
+        trace[sub.stage.value] = [terms.total for terms, _ in leg]
 
     def _sum(parts: Dict[str, LossTerms]) -> LossTerms:
-        return LossTerms(
-            col=sum(p.col for p in parts.values()),
-            length=sum(p.length for p in parts.values()),
-            acc=sum(p.acc for p in parts.values()),
-            curv=sum(p.curv for p in parts.values()),
-            total=sum(p.total for p in parts.values()),
-        )
+        return LossTerms(*(sum(values) for values in zip(*map(astuple, parts.values()))))
 
-    report = LossReport(
-        before=_sum(per_before),
-        after=_sum(per_after),
-        per_stage_before=per_before,
-        per_stage_after=per_after,
-        trace=trace,
-    )
+    report = LossReport(_sum(per_before), _sum(per_after), per_before, per_after, trace)
     return Trajectory(subs=tuple(subs)), report

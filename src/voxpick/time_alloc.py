@@ -42,6 +42,10 @@ STAGE_GRIPPER = {
     Stage.BACK_IDLE: GripperState.OPEN,
 }
 
+# TimedTrajectory refuses a coordinate beyond this, so no plan writes one, and
+# squares of position differences and fx-scaled positions stay finite under it
+MAX_POSITION_M = 1e150
+
 
 @dataclass(frozen=True)
 class TimedTrajectory:
@@ -53,6 +57,8 @@ class TimedTrajectory:
 
     def __post_init__(self):
         p = np.array(self.positions, dtype=np.float64)
+        if not (np.abs(p) <= MAX_POSITION_M).all():  # NaN fails too
+            raise DegeneratePath(f"a position lies beyond {MAX_POSITION_M:g} m")
         p.setflags(write=False)
         object.__setattr__(self, "positions", p)
 

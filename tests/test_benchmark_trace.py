@@ -40,7 +40,14 @@ def test_traced_run_records_each_stage(spans):
         "grid_planner.plan",
         "optimizer.optimize",
         "losses.eval",
+        "losses.col",
+        "losses.curv",
+        "distance_field.sample",
+        "distance_field.gradient",
         "time_alloc.reallocate",
         "projection.render",
     } <= names
     assert rec.counts["op"]["optimizer.iterations"] > 0
+    # the three legs are refined stacked: one evaluation of the objective
+    # for the input and one per iteration, not one per leg
+    assert rec.counts["op"]["losses.eval_calls"] == 3

@@ -165,10 +165,12 @@ def _record(k, key, value):
     "edit",
     [_reopen_gripper_mid_manipulate, _approach_after_manipulate, _renumber_frame, _list_record,
      _position("x_m", "NaN"), _position("y_m", "Infinity"), _position("z_m", "-Infinity"),
+     _position("x_m", "1e308"), _position("y_m", "-1.0000001e150"),
      _record(5, "x_m", "6.8"), _record(5, "y_m", True), _record(1, "frame", True),
      _record(1, "frame", 1.0)],
     ids=["gripper-not-of-stage", "stage-out-of-order", "frame-not-row", "record-not-object",
-         "x-NaN", "y-Infinity", "z--Infinity", "x-string", "y-true", "frame-true",
+         "x-NaN", "y-Infinity", "z--Infinity", "x-1e308", "y-beyond-bound",
+         "x-string", "y-true", "frame-true",
          "frame-float"],
 )
 def test_inconsistent_trajectory_is_a_corrupt_bundle(planned, tmp_path, capsys, command, edit):

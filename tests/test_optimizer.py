@@ -1,18 +1,19 @@
 """Refinement behavior: config validation, iterate selection, endpoint
-pinning."""
+pinning, stacking of the three legs."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from voxpick.distance_field import compute_edt
 from voxpick.errors import NonFiniteLoss
 from voxpick.grid_planner import Stage, SubTrajectory, Trajectory
-from voxpick import optimizer
+from voxpick import losses, optimizer
 from voxpick.optimizer import (
     LossTerms,
     PlannerConfig,
     _inverse_metric,
-    _optimize_points,
     evaluate_losses,
     optimize_trajectory,
 )
@@ -29,6 +30,27 @@ def _occupied_field(voxel=0.25):
     occ[:, :, :4] = True  # floor slab
     grid = OccupancyGrid((16, 16, 16), GridBounds((0.0, 0.0, 0.0), voxel), occ)
     return compute_edt(grid)
+
+
+def _refine(P0, fld, cfg):
+    """optimize_trajectory on P0 as the manipulate leg, between one-point
+    approach and back_idle legs; returns the manipulate leg's points, its
+    terms before and after, and its trace."""
+    traj = Trajectory(
+        subs=(
+            SubTrajectory(Stage.APPROACH, P0[:1]),
+            SubTrajectory(Stage.MANIPULATE, P0),
+            SubTrajectory(Stage.BACK_IDLE, P0[-1:]),
+        )
+    )
+    out, report = optimize_trajectory(traj, fld, cfg)
+    stage = "manipulate"
+    before, after = report.per_stage_before[stage], report.per_stage_after[stage]
+    return out.subs[1].points, before, after, report.trace[stage]
+
+
+def _one_leg(P):
+    return [(0, len(P))]
 
 
 @pytest.mark.parametrize(
@@ -49,7 +71,7 @@ def test_config_validation(kw):
 def test_two_point_paths_pass_through():
     fld = _empty_field()
     P0 = np.array([[0.5, 0.5, 0.5], [3.0, 3.0, 3.0]])
-    P, before, after, trace = _optimize_points(P0, fld, PlannerConfig())
+    P, before, after, trace = _refine(P0, fld, PlannerConfig())
     np.testing.assert_array_equal(P, P0)
     assert before.total == after.total
 
@@ -59,7 +81,7 @@ def test_objective_never_increases(rng):
     cfg = PlannerConfig(iterations=50, d_safe=0.5)
     for _ in range(5):
         P0 = rng.uniform(0.5, 3.5, size=(12, 3))
-        P, before, after, _ = _optimize_points(P0, fld, cfg)
+        P, before, after, _ = _refine(P0, fld, cfg)
         assert after.total <= before.total
         np.testing.assert_array_equal(P[0], P0[0])
         np.testing.assert_array_equal(P[-1], P0[-1])
@@ -75,27 +97,33 @@ def test_feasible_iterates_win_over_lower_objective():
     z[2:-2] = 1.25  # interior dips inside the 0.5 m margin
     P0 = np.stack([np.linspace(0.5, 3.5, n), np.full(n, 2.0), z], axis=1)
     cfg = PlannerConfig(d_safe=0.5, iterations=200)
-    terms0, _ = evaluate_losses(P0, fld, cfg)
+    (terms0,), _ = evaluate_losses(P0, fld, cfg, _one_leg(P0))
     assert terms0.col > 0.0
-    P, _, after, _ = _optimize_points(P0, fld, cfg)
+    P, _, after, _ = _refine(P0, fld, cfg)
     if after.total < terms0.total:  # optimizer found an improvement
         assert after.col == 0.0
         assert fld.sample(P[1:-1]).min() >= cfg.d_safe - 1e-9
 
 
 def _kept_iterate(monkeypatch, script):
-    """Index of the iterate _optimize_points keeps when the objective
-    returns the scripted (col, total) pairs in order: the input, then one
-    per iteration."""
+    """Index of the iterate every leg keeps when the objective returns the
+    scripted (col, total) pairs in order, the same for each leg: the input,
+    then one per iteration."""
     terms = [LossTerms(col=c, length=0.0, acc=0.0, curv=0.0, total=t) for c, t in script]
     calls = iter(terms)
     monkeypatch.setattr(
-        optimizer, "evaluate_losses", lambda P, fld, cfg: (next(calls), np.ones_like(P))
+        optimizer,
+        "evaluate_losses",
+        lambda P, fld, cfg, legs: ([next(calls)] * len(legs), np.ones_like(P)),
     )
     cfg = PlannerConfig(iterations=len(script) - 1)
-    _, _, after, trace = _optimize_points(np.zeros((4, 3)), None, cfg)
-    assert trace == [t for _, t in script]
-    return next(k for k, t in enumerate(terms) if t is after)
+    _, report = optimize_trajectory(_trajectory(), None, cfg)
+    kept = set()
+    for stage, after in report.per_stage_after.items():
+        assert report.trace[stage] == [t for _, t in script]
+        kept.add(next(k for k, t in enumerate(terms) if t is after))
+    (index,) = kept
+    return index
 
 
 @pytest.mark.parametrize(
@@ -131,7 +159,7 @@ def test_each_iterate_is_evaluated_once():
     fld = _empty_field()
     P0 = np.stack([np.linspace(0.5, 3.5, 8), np.full(8, 2.0), np.full(8, 2.0)], axis=1)
     P0[1:-1, 2] += np.sin(np.linspace(0.0, np.pi, 8))[1:-1]
-    _, before, _, trace = _optimize_points(P0, fld, PlannerConfig(iterations=5))
+    _, before, _, trace = _refine(P0, fld, PlannerConfig(iterations=5))
     assert len(trace) == 6 and trace[0] == before.total
     assert all(a > b for a, b in zip(trace, trace[1:]))
 
@@ -139,8 +167,36 @@ def test_each_iterate_is_evaluated_once():
 def test_non_finite_input_raises():
     fld = _empty_field()
     P0 = np.array([[0.0, 0.0, 0.0], [np.inf, 0.0, 0.0], [1.0, 1.0, 1.0]])
-    with np.errstate(invalid="ignore"), pytest.raises(NonFiniteLoss):
-        _optimize_points(P0, fld, PlannerConfig())
+    with np.errstate(invalid="ignore"), pytest.raises(NonFiniteLoss) as info:
+        _refine(P0, fld, PlannerConfig())
+    assert info.value.iteration == 0
+    assert str(info.value) == "manipulate: objective is non-finite at iteration 0"
+
+
+def test_non_finite_iterate_names_its_leg_and_iteration():
+    # a huge step overflows the back_idle leg first, on the first step
+    traj = _trajectory()
+    back = traj.subs[2].points.copy()
+    back[1] += 1.0  # bend it so its gradient is not zero
+    traj = Trajectory(subs=traj.subs[:2] + (SubTrajectory(Stage.BACK_IDLE, back),))
+    cfg = PlannerConfig(learning_rate=1e300, w_col=0.0, w_curv=0.0)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteLoss) as info:
+        optimize_trajectory(traj, _empty_field(), cfg)
+    assert info.value.iteration == 1
+    assert str(info.value) == "back_idle: objective is non-finite at iteration 1"
+
+
+def test_objective_is_evaluated_once_per_iteration(monkeypatch):
+    calls = []
+    real = optimizer.evaluate_losses
+
+    def counted(P, fld, cfg, legs):
+        calls.append(len(legs))
+        return real(P, fld, cfg, legs)
+
+    monkeypatch.setattr(optimizer, "evaluate_losses", counted)
+    optimize_trajectory(_trajectory(), _occupied_field(), PlannerConfig(iterations=7))
+    assert calls == [3] * 8
 
 
 def _trajectory():
@@ -184,8 +240,67 @@ def test_weighted_objective_composition():
     fld = _occupied_field()
     cfg = PlannerConfig(w_len=2.0, w_acc=3.0, w_curv=0.5, w_col=7.0, d_safe=0.5)
     P = np.array([[0.5, 0.5, 1.2], [1.0, 0.7, 1.3], [1.5, 0.5, 1.2], [2.0, 0.9, 1.4]])
-    terms, grad = evaluate_losses(P, fld, cfg)
+    (terms,), grad = evaluate_losses(P, fld, cfg, _one_leg(P))
     assert terms.total == pytest.approx(
         7.0 * terms.col + 2.0 * terms.length + 3.0 * terms.acc + 0.5 * terms.curv
     )
     assert grad.shape == P.shape
+
+
+_coords = st.one_of(st.sampled_from([-1.0, -0.0, 0.0, 1.0]), st.floats(-3.0, 3.0, width=64))
+_leg_points = st.lists(st.tuples(_coords, _coords, _coords), min_size=1, max_size=7)
+
+
+def _bits(x):
+    """float64 bit patterns, so that -0.0 and +0.0 differ; NaNs compare as
+    one pattern."""
+    x = np.asarray(x, dtype=np.float64)
+    return np.where(np.isnan(x), np.nan, x).view(np.uint64)
+
+
+def _evaluate(P, legs, fld, cfg):
+    """Per-leg terms, then the objective's gradient and each smoothness
+    loss's own gradient."""
+    terms, grad = evaluate_losses(P, fld, cfg, legs)
+    return terms, [
+        grad,
+        losses.loss_length(P, legs)[1],
+        losses.loss_acc(P, legs)[1],
+        losses.loss_curv(P, cfg.eps_curv, legs)[1],
+    ]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    legs=st.lists(_leg_points, min_size=1, max_size=4),
+    shared=st.booleans(),
+    eps_curv=st.sampled_from([0.0, 1e-6]),
+)
+def test_stacked_legs_evaluate_as_each_leg_alone(legs, shared, eps_curv):
+    legs = [np.array(leg, dtype=np.float64) for leg in legs]
+    if shared:  # consecutive legs meet at one point, as planned legs do
+        for a, b in zip(legs[:-1], legs[1:]):
+            b[0] = a[-1]
+    fld = _occupied_field()
+    cfg = PlannerConfig(d_safe=0.5, eps_curv=eps_curv)
+    stops = np.cumsum([len(leg) for leg in legs]).tolist()
+    bounds = list(zip([0] + stops[:-1], stops))
+    # where no leg alone divides 0 by 0 (a zero-length segment with
+    # eps_curv = 0) or overflows, the stacked evaluation must not either
+    errors = "raise"
+    try:
+        with np.errstate(all=errors, under="ignore"):
+            alone = [_evaluate(leg, _one_leg(leg), fld, cfg) for leg in legs]
+    except FloatingPointError:
+        errors = "ignore"
+        with np.errstate(all=errors, under="ignore"):
+            alone = [_evaluate(leg, _one_leg(leg), fld, cfg) for leg in legs]
+    with np.errstate(all=errors, under="ignore"):
+        terms, grads = _evaluate(np.concatenate(legs), bounds, fld, cfg)
+    for (o, e), leg_terms, ((alone_terms,), alone_grads) in zip(bounds, terms, alone):
+        np.testing.assert_array_equal(
+            _bits(list(leg_terms.as_dict().values())),
+            _bits(list(alone_terms.as_dict().values())),
+        )
+        for grad, g_alone in zip(grads, alone_grads):
+            np.testing.assert_array_equal(_bits(grad[o + 1 : e - 1]), _bits(g_alone[1:-1]))

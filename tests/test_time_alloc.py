@@ -8,8 +8,10 @@ from hypothesis import strategies as st
 from voxpick.errors import DegeneratePath, InsufficientFrames
 from voxpick.grid_planner import Stage, SubTrajectory, Trajectory
 from voxpick.time_alloc import (
+    MAX_POSITION_M,
     STAGE_GRIPPER,
     GripperState,
+    TimedTrajectory,
     VelocityProfile,
     allocate_counts,
     arc_length,
@@ -17,6 +19,13 @@ from voxpick.time_alloc import (
     resample,
     speed_profile_csv_rows,
 )
+
+
+@pytest.mark.parametrize("value", [np.nextafter(MAX_POSITION_M, np.inf), -1e308, np.nan])
+def test_timed_trajectory_refuses_a_position_beyond_the_bound(value):
+    TimedTrajectory(np.array([[0.0, -MAX_POSITION_M, MAX_POSITION_M]]), (Stage.APPROACH,))
+    with pytest.raises(DegeneratePath):
+        TimedTrajectory(np.array([[0.0, value, 1.0]]), (Stage.APPROACH,))
 
 
 def test_arc_length_of_polyline():
