@@ -79,16 +79,23 @@ def cmd_synth(args) -> int:
     return 0
 
 
+def _clearance_text(value: float, band: float, fmt=repr) -> str:
+    """A clearance as printed: one at the band is only a lower bound."""
+    return ">=" + fmt(band) if value >= band else fmt(value)
+
+
 def cmd_plan(args) -> int:
     bundle = run(load_scenario(args.scenario))
     write_bundle(bundle, args.out)
     rep = bundle.loss_report
     print(f"bundle -> {args.out}")
+    before, after = (
+        _clearance_text(c["manipulate"].min_m, bundle.clearance_band_m, "{:.4f}".format)
+        for c in (bundle.clearance_before, bundle.clearance_after)
+    )
     print(
         f"objective {rep.before.total:.6f} -> {rep.after.total:.6f}; "
-        f"min clearance (manipulate) "
-        f"{bundle.clearance_before['manipulate'].min_m:.4f} -> "
-        f"{bundle.clearance_after['manipulate'].min_m:.4f} m"
+        f"min clearance (manipulate) {before} -> {after} m"
     )
     return 0
 
@@ -96,7 +103,7 @@ def cmd_plan(args) -> int:
 # --- report -----------------------------------------------------------------
 
 LOSS_COLUMNS = ("col", "len", "acc", "curv", "total")
-CLEARANCE_COLUMNS = ("min_m", "mean_m", "interior_min_m")
+CLEARANCE_COLUMNS = ("min_m", "interior_min_m")
 ARC_LENGTH_KEYS = ("arc_length_initial_m", "arc_length_optimized_m", "arc_length_timed_m")
 
 
@@ -125,10 +132,11 @@ def report_tables(bundle_dir: str) -> dict:
             for stage in ("approach", "manipulate", "back_idle"):
                 stats = metrics[f"clearance_{phase}"][stage]
                 clearance_rows.append(
-                    (phase, stage, [stats[c] for c in CLEARANCE_COLUMNS])
+                    (phase, stage, [_finite(stats[c], c) for c in CLEARANCE_COLUMNS])
                 )
         arc_lengths = [(k, metrics[k]) for k in ARC_LENGTH_KEYS]
-    except (KeyError, TypeError) as e:
+        band = _finite(metrics["clearance_band_m"], "clearance_band_m")
+    except (KeyError, TypeError, ParseError) as e:
         raise CorruptBundle(f"metrics.json: missing or malformed entry: {e}") from e
     initial = _timed_from_bundle(bundle_dir, "trajectory_initial.jsonl")
     optimized = _timed_from_bundle(bundle_dir, "trajectory_optimized.jsonl")
@@ -138,6 +146,7 @@ def report_tables(bundle_dir: str) -> dict:
     ]
     return {
         "losses": loss_rows,
+        "clearance_band_m": band,
         "clearance": clearance_rows,
         "sine_fit": sine_fit_rows,
         "arc_lengths": arc_lengths,
@@ -150,9 +159,12 @@ def cmd_report(args) -> int:
     print("losses," + ",".join(LOSS_COLUMNS), file=out)
     for phase, values in tables["losses"]:
         print(phase + "," + ",".join(repr(v) for v in values), file=out)
+    band = tables["clearance_band_m"]
+    print(f"clearance_band_m,{band!r}", file=out)
     print("clearance,stage," + ",".join(CLEARANCE_COLUMNS), file=out)
     for phase, stage, values in tables["clearance"]:
-        print(f"{phase},{stage}," + ",".join(repr(v) for v in values), file=out)
+        texts = (_clearance_text(v, band) for v in values)
+        print(f"{phase},{stage}," + ",".join(texts), file=out)
     print("sine_fit,stage,initial_max_dev,optimized_max_dev", file=out)
     for stage, values in tables["sine_fit"]:
         print(f"sine_fit,{stage}," + ",".join(repr(v) for v in values), file=out)

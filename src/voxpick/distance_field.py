@@ -1,14 +1,18 @@
-"""Exact Euclidean distance transform with continuous sampling.
+"""Banded exact Euclidean distance transform with continuous sampling.
 
 Distances are measured between voxel centers, in meters, to the nearest
-occupied voxel. The transform is the separable squared-distance method:
-three 1D passes of ``D[i] = min_j (f[j] + (i-j)^2)``, exact in integer
-arithmetic. Sampling trilinearly interpolates the voxel-center lattice;
-out-of-bounds queries clamp to the boundary cell.
+occupied voxel, and saturate at a band of ``band`` voxels: each one is
+``min(true, band)`` voxels, exact below the band (an empty grid reads the
+band everywhere). The transform is the separable squared-distance method:
+three 1D passes of ``D[i] = min_j (f[j] + (i-j)^2)`` over the offsets
+``|i - j| < band``, exact in integer arithmetic. Sampling trilinearly
+interpolates the voxel-center lattice; out-of-bounds queries clamp to the
+boundary cell.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Tuple
 
@@ -16,22 +20,31 @@ import numpy as np
 
 from .scene import GridBounds, OccupancyGrid
 
-# larger than any reachable squared cell distance for practical grids
-_INF = np.int64(1) << 50
 # (dx, dy, dz) offsets of a lattice cell's 8 corners, shape (2, 2, 2, 3)
 _CORNER_OFFSETS = np.stack(np.meshgrid((0, 1), (0, 1), (0, 1), indexing="ij"), axis=-1)
+# the farthest apart two corners of one lattice cell are, in voxels
+_CELL_DIAGONAL = math.sqrt(3.0)
 
 
-def sentinel_distance(dims, voxel_size: float) -> float:
-    """Empty-scene fill value: Euclidean length of the grid diagonal."""
-    return float(np.linalg.norm(np.asarray(dims, dtype=np.float64)) * voxel_size)
+def clearance_band(grid: OccupancyGrid, d_safe: float) -> int:
+    """The band (voxels) that keeps every distance a refiner with clearance
+    target ``d_safe`` (meters) reads exact: ceil(d_safe / voxel + sqrt(3)) + 1,
+    clamped to the grid diagonal ceil(|dims|). A trilinear sample below
+    d_safe reads only corners closer than d_safe + sqrt(3) voxels, and one
+    that reads a saturated corner is already at least d_safe. With
+    ``math.inf`` it is the grid diagonal, which no distance reaches: the
+    full field."""
+    diagonal = math.ceil(math.hypot(*grid.dims))
+    reach = d_safe / grid.voxel_size + _CELL_DIAGONAL
+    return min(math.ceil(min(reach, diagonal)) + 1, diagonal)
 
 
 @dataclass(frozen=True)
 class DistanceField:
     dims: Tuple[int, int, int]
     bounds: GridBounds
-    distance: np.ndarray  # (nx, ny, nz) float64 meters, >= 0
+    distance: np.ndarray  # (nx, ny, nz) float64 meters, in [0, band * voxel_size]
+    band: int  # voxels; a distance that reaches it reads band * voxel_size
 
     def __post_init__(self):
         d = np.asarray(self.distance, dtype=np.float64)
@@ -42,6 +55,13 @@ class DistanceField:
     @property
     def voxel_size(self) -> float:
         return self.bounds.voxel_size
+
+    @property
+    def exact_below(self) -> float:
+        """Meters below which a sample is exact: its corners lie within
+        sqrt(3) voxels of each other, so none of them is saturated. A
+        sample at or above it reads at most the true distance."""
+        return (self.band - _CELL_DIAGONAL) * self.voxel_size
 
     def _corners(self, p):
         """Interpolation weights and corner values of the lattice cell
@@ -82,28 +102,29 @@ class DistanceField:
         return np.stack(g, axis=-1) / self.voxel_size
 
 
-def _edt_pass(f: np.ndarray, axis: int) -> np.ndarray:
-    """Squared-distance 1D pass along ``axis`` of an integer array:
-    out[i] = min_j f[j] + (i - j)^2, one offset d = |i - j| at a time."""
+def _edt_pass(f: np.ndarray, axis: int, band: int) -> np.ndarray:
+    """Squared-distance 1D pass along ``axis`` of an unsigned integer array
+    whose values are at most band^2: out[i] = min_j f[j] + (i - j)^2, one offset
+    d = |i - j| at a time. An offset d >= band adds at least band^2 and so
+    changes nothing."""
     out = f.copy()
     lead = (slice(None),) * axis
-    for d in range(1, f.shape[axis]):
+    for d in range(1, min(band, f.shape[axis])):
         lo, hi = lead + (slice(None, -d),), lead + (slice(d, None),)
         np.minimum(out[hi], f[lo] + d * d, out=out[hi])
         np.minimum(out[lo], f[hi] + d * d, out=out[lo])
     return out
 
 
-def compute_edt(grid: OccupancyGrid) -> DistanceField:
-    """Exact Euclidean distance (meters) from each voxel center to the
-    nearest occupied voxel center; the sentinel everywhere if the grid is
-    empty."""
-    occ = grid.occupied
-    if not occ.any():
-        dist = np.full(grid.dims, sentinel_distance(grid.dims, grid.voxel_size))
-        return DistanceField(grid.dims, grid.bounds, dist)
-    sq = np.where(occ, np.int64(0), _INF)
+def compute_edt(grid: OccupancyGrid, band: int) -> DistanceField:
+    """Euclidean distance (meters) from each voxel center to the nearest
+    occupied voxel center, saturated at ``band`` voxels: min(true, band),
+    exact below the band."""
+    # a pass never holds more than band^2 + (band - 1)^2, so the smallest
+    # unsigned type that holds 2 band^2 cannot wrap
+    dtype = np.min_scalar_type(2 * band * band)
+    sq = np.where(grid.occupied, dtype.type(0), dtype.type(band * band))
     for axis in (2, 1, 0):
-        sq = _edt_pass(sq, axis)
+        sq = _edt_pass(sq, axis, band)
     dist = np.sqrt(sq.astype(np.float64)) * grid.voxel_size
-    return DistanceField(grid.dims, grid.bounds, dist)
+    return DistanceField(grid.dims, grid.bounds, dist, band)

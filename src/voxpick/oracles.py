@@ -14,29 +14,26 @@ from typing import Callable
 
 import numpy as np
 
-from .distance_field import sentinel_distance
 from .scene import OccupancyGrid
 
 
-def brute_force_edt_sq(occupied: np.ndarray) -> np.ndarray:
+def brute_force_edt_sq(occupied: np.ndarray, band: int) -> np.ndarray:
     """Squared cell distances (integer) by minimizing over every occupied
-    voxel; empty grids return -1 everywhere."""
-    occ_idx = np.argwhere(occupied)
+    voxel, saturated at band^2; an empty grid is band^2 everywhere."""
     dims = occupied.shape
-    if len(occ_idx) == 0:
-        return np.full(dims, -1, dtype=np.int64)
-    grids = np.indices(dims).reshape(3, -1).T  # (n_cells, 3)
-    diff = grids[:, None, :] - occ_idx[None, :, :]
-    sq = np.einsum("ijk,ijk->ij", diff, diff).min(axis=1)
-    return sq.reshape(dims).astype(np.int64)
+    sq = np.full(dims, band * band, dtype=np.int64)
+    occ_idx = np.argwhere(occupied)
+    if len(occ_idx):
+        grids = np.indices(dims).reshape(3, -1).T  # (n_cells, 3)
+        diff = grids[:, None, :] - occ_idx[None, :, :]
+        nearest = np.einsum("ijk,ijk->ij", diff, diff).min(axis=1).reshape(dims)
+        np.minimum(sq, nearest, out=sq)
+    return sq
 
 
-def brute_force_edt(grid: OccupancyGrid) -> np.ndarray:
+def brute_force_edt(grid: OccupancyGrid, band: int) -> np.ndarray:
     """Distances in meters, matching compute_edt's contract."""
-    sq = brute_force_edt_sq(grid.occupied)
-    if sq.flat[0] < 0 and not grid.occupied.any():
-        return np.full(grid.dims, sentinel_distance(grid.dims, grid.voxel_size))
-    return np.sqrt(sq.astype(np.float64)) * grid.voxel_size
+    return np.sqrt(brute_force_edt_sq(grid.occupied, band).astype(np.float64)) * grid.voxel_size
 
 
 _STEPS = [

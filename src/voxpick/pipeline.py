@@ -20,7 +20,7 @@ from typing import Dict, List, Optional, Tuple, get_type_hints
 import numpy as np
 
 from . import scene as scene_mod
-from .distance_field import DistanceField, compute_edt
+from .distance_field import DistanceField, clearance_band, compute_edt
 from .errors import ParseError, VoxpickError, tag_stage
 from .grid_planner import Stage, Trajectory, plan_three_stage
 from .optimizer import LossReport, PlannerConfig, optimize_trajectory
@@ -68,6 +68,11 @@ class Scenario:
         ):
             if not (math.isfinite(r) and r > 0):
                 raise ParseError(f"{name} must be positive and finite, got {r}")
+        diagonal = math.hypot(*self.dims) * self.bounds.voxel_size
+        if not self.config.d_safe <= diagonal:
+            raise ParseError(
+                f"planner.d_safe_m {self.config.d_safe} exceeds the grid diagonal {diagonal} m"
+            )
         lo = np.asarray(self.bounds.min_corner)
         hi = lo + np.asarray(self.dims) * self.bounds.voxel_size
         for name, p in (
@@ -83,12 +88,14 @@ class Scenario:
 
 @dataclass
 class ClearanceStats:
+    """Sampled clearances, each at most the field's ``exact_below``: below
+    it a value is exact, at it only a lower bound."""
+
     min_m: float
-    mean_m: float
     interior_min_m: float  # min over waypoints excluding the stage endpoints
 
     def as_dict(self):
-        return {"min_m": self.min_m, "mean_m": self.mean_m, "interior_min_m": self.interior_min_m}
+        return {"min_m": self.min_m, "interior_min_m": self.interior_min_m}
 
 
 @dataclass
@@ -99,6 +106,7 @@ class RunBundle:
     timed_initial: TimedTrajectory
     timed_optimized: TimedTrajectory
     loss_report: LossReport
+    clearance_band_m: float  # the field's exact_below: no ClearanceStats value exceeds it
     clearance_before: Dict[str, ClearanceStats]
     clearance_after: Dict[str, ClearanceStats]
     speeds_before: np.ndarray  # chords of optimized waypoints, pre-reallocation
@@ -110,12 +118,10 @@ class RunBundle:
 def _clearance(traj: Trajectory, fld: DistanceField) -> Dict[str, ClearanceStats]:
     out = {}
     for sub in traj.subs:
-        d = fld.sample(sub.points)
+        d = np.minimum(fld.sample(sub.points), fld.exact_below)
         interior = d[1:-1] if len(d) > 2 else d
         out[sub.stage.value] = ClearanceStats(
-            min_m=float(d.min()),
-            mean_m=float(d.mean()),
-            interior_min_m=float(interior.min()),
+            min_m=float(d.min()), interior_min_m=float(interior.min())
         )
     return out
 
@@ -166,7 +172,7 @@ def run(scenario: Scenario) -> RunBundle:
     except VoxpickError as e:
         raise tag_stage(e, "scene")
 
-    fld = compute_edt(grid)
+    fld = compute_edt(grid, clearance_band(grid, scenario.config.d_safe))
     spec = scenario.spec
     initial = plan_three_stage(
         grid,
@@ -213,6 +219,7 @@ def run(scenario: Scenario) -> RunBundle:
         timed_initial=timed_initial,
         timed_optimized=timed_optimized,
         loss_report=report,
+        clearance_band_m=fld.exact_below,
         clearance_before=_clearance(initial, fld),
         clearance_after=_clearance(optimized, fld),
         speeds_before=np.linalg.norm(np.diff(optimized.waypoints(), axis=0), axis=1),
@@ -464,6 +471,7 @@ def write_bundle(bundle: RunBundle, out_dir) -> None:
     )
     metrics = {
         "losses": bundle.loss_report.as_dict(),
+        "clearance_band_m": bundle.clearance_band_m,
         "clearance_before": {k: v.as_dict() for k, v in bundle.clearance_before.items()},
         "clearance_after": {k: v.as_dict() for k, v in bundle.clearance_after.items()},
         "arc_length_initial_m": arc_length(bundle.initial.waypoints()),

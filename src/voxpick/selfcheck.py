@@ -8,6 +8,7 @@ suite's acceptance module runs the same checks through pytest.
 from __future__ import annotations
 
 import contextlib
+import math
 import time
 from dataclasses import dataclass
 from typing import Iterator, List, Optional
@@ -15,7 +16,7 @@ from typing import Iterator, List, Optional
 import numpy as np
 
 from . import losses
-from .distance_field import compute_edt
+from .distance_field import clearance_band, compute_edt
 from .errors import NoPath
 from .grid_planner import Stage, plan_segment
 from .oracles import (
@@ -49,18 +50,19 @@ def _random_grid(rng, max_dim=16, fill=0.3) -> OccupancyGrid:
 
 
 def check_edt_exactness() -> str:
+    """Each grid at two bands: as wide as the grid diagonal, which must give
+    every distance exactly, and the band the pipeline derives from the
+    default d_safe of 2 voxels, which must give min(exact, band^2)."""
     n_grids = 100
     rng = np.random.default_rng(0)
     for k in range(n_grids):
         grid = _random_grid(rng, fill=float(rng.uniform(0.02, 0.6)))
-        got = compute_edt(grid)
-        got_sq = np.rint((got.distance / grid.voxel_size) ** 2).astype(np.int64)
-        want_sq = brute_force_edt_sq(grid.occupied)
-        if not grid.occupied.any():
-            continue  # sentinel case covered by unit tests
-        if not np.array_equal(got_sq, want_sq):
-            raise AssertionError(f"grid {k} dims {grid.dims}: EDT != brute force")
-    return f"{n_grids} grids exact in squared-integer space"
+        for band in (clearance_band(grid, math.inf), clearance_band(grid, 2 * grid.voxel_size)):
+            got = compute_edt(grid, band)
+            got_sq = np.rint((got.distance / grid.voxel_size) ** 2).astype(np.int64)
+            if not np.array_equal(got_sq, brute_force_edt_sq(grid.occupied, band)):
+                raise AssertionError(f"grid {k} dims {grid.dims} band {band}: EDT != brute force")
+    return f"{n_grids} grids exact in squared-integer space, full and banded"
 
 
 def check_astar_optimality() -> str:
@@ -117,8 +119,8 @@ def check_gradients() -> str:
     # collision: random occupancy field, points kept off interpolation
     # cell faces so the central difference stays inside one cell
     grid = _random_grid(np.random.default_rng(3), max_dim=12, fill=0.2)
-    fld = compute_edt(grid)
     d_safe = 4.0 * grid.voxel_size
+    fld = compute_edt(grid, clearance_band(grid, d_safe))
     lo = np.asarray(grid.bounds.min_corner)
     errs = []
     for _ in range(n_paths):

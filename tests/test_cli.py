@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -117,6 +118,47 @@ def test_report_tables_and_csv(planned, capsys):
     assert all(initial < 0.05 for _, (initial, _) in tables["sine_fit"])
     (before, after) = (dict(tables["losses"])[k][-1] for k in ("before", "after"))
     assert after <= before
+
+
+def _clearance_report(bundle):
+    """The band and the clearance rows of ``voxpick report``, as printed."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["report", str(bundle)]) == 0
+    lines = out.getvalue().splitlines()
+    start = lines.index("clearance,stage,min_m,interior_min_m")
+    (band,) = [line.split(",")[1] for line in lines if line.startswith("clearance_band_m,")]
+    rows = {tuple(line.split(",")[:2]): line.split(",")[2:]
+            for line in lines[start + 1 : start + 7]}
+    return band, rows
+
+
+def test_sink_clearance_above_the_band_prints_as_a_lower_bound(planned):
+    # the EDT saturates at 11 voxels (d_safe 8 voxels), so a sample is exact
+    # only below (11 - sqrt(3)) voxels; approach and back_idle stay above it
+    _, bundle = planned
+    metrics = json.loads((bundle / "metrics.json").read_text())
+    assert metrics["clearance_band_m"] == (11 - math.sqrt(3)) * 0.2
+    assert "mean_m" not in json.dumps(metrics)
+    band, rows = _clearance_report(bundle)
+    assert band == repr(metrics["clearance_band_m"])
+    for phase in ("before", "after"):
+        for stage in ("approach", "back_idle"):
+            assert rows[phase, stage] == [">=" + band] * 2
+            assert metrics[f"clearance_{phase}"][stage]["min_m"] == float(band)
+        assert all(float(v) < float(band) for v in rows[phase, "manipulate"])
+
+
+def test_empty_scene_clearance_prints_as_a_lower_bound(tmp_path, capsys):
+    # with nothing in the grid every distance reads the band: no clearance
+    # may print as if it were exact
+    scenario, bundle = tmp_path / "empty.json", tmp_path / "bundle"
+    assert main(["synth", "--template", "empty", "--out", str(scenario)]) == 0
+    assert main(["plan", str(scenario), "--out", str(bundle)]) == 0
+    out = capsys.readouterr().out
+    assert "; min clearance (manipulate) >=1.8536 -> >=1.8536 m\n" in out
+    band, rows = _clearance_report(bundle)
+    assert len(rows) == 6 and all(values == [">=" + band] * 2 for values in rows.values())
 
 
 def test_report_corrupt_bundle(tmp_path, capsys):
@@ -248,10 +290,14 @@ def test_one_edited_record_field_is_ok_or_a_corrupt_bundle(trajectory_bundle, tm
         ("metrics.json", lambda m: {k: v for k, v in m.items() if k != "arc_length_timed_m"},
          True),
         ("metrics.json", lambda m: dict(m, losses=[]), True),
+        ("metrics.json", lambda m: {k: v for k, v in m.items() if k != "clearance_band_m"},
+         True),
+        ("metrics.json", lambda m: dict(m, clearance_band_m="2.2"), True),
         ("manifest.json", lambda m: [], False),
         ("manifest.json", lambda m: {"metrics": 5}, False),
     ],
-    ids=["metrics-without-timed-arc", "losses-a-list", "manifest-a-list", "manifest-metrics-5"],
+    ids=["metrics-without-timed-arc", "losses-a-list", "metrics-without-band", "band-a-string",
+         "manifest-a-list", "manifest-metrics-5"],
 )
 def test_report_reads_metrics_by_name(planned, tmp_path, capsys, name, edit, corrupt):
     # report never reads manifest.json, so an edit there changes nothing
@@ -376,6 +422,18 @@ def test_plan_rejects_bad_step_settings(planned, tmp_path, capsys, key, value):
     rc = _plan_edited(planned, tmp_path, lambda d: d["planner"].update({key: value}))
     assert rc == 2
     _assert_one_parse_error(capsys, key)
+
+
+@pytest.mark.parametrize("value", [1e300, 22.171])
+def test_plan_rejects_a_d_safe_beyond_the_grid_diagonal(planned, tmp_path, capsys, value):
+    # the sink grid's diagonal is |(64, 64, 64)| * 0.2 = 22.1703 m; 1e300
+    # used to overflow in loss_col's square, warn, and exit 4
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = _plan_edited(planned, tmp_path, lambda d: d["planner"].update(d_safe_m=value))
+    assert rc == 2
+    _assert_one_parse_error(capsys, "planner.d_safe_m")
+    assert not (tmp_path / "out").exists()
 
 
 def test_plan_reads_its_settings_from_the_file(planned, tmp_path):

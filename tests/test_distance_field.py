@@ -1,9 +1,11 @@
 """Distance transform exactness and continuous sampling behavior."""
 
+import math
+
 import numpy as np
 import pytest
 
-from voxpick.distance_field import compute_edt, sentinel_distance
+from voxpick.distance_field import clearance_band, compute_edt
 from voxpick.oracles import brute_force_edt, brute_force_edt_sq, finite_difference_gradient
 from voxpick.scene import GridBounds, OccupancyGrid
 
@@ -13,41 +15,77 @@ def _grid(occ, voxel=0.1):
     return OccupancyGrid(occ.shape, GridBounds((0.0, 0.0, 0.0), voxel), occ)
 
 
+def _full_edt(grid):
+    """The field with a band as wide as the grid diagonal: exact everywhere."""
+    return compute_edt(grid, clearance_band(grid, math.inf))
+
+
 def test_single_voxel_distances():
     occ = np.zeros((3, 3, 3), bool)
     occ[1, 1, 1] = True
-    fld = compute_edt(_grid(occ, voxel=1.0))
+    fld = _full_edt(_grid(occ, voxel=1.0))
     assert fld.distance[1, 1, 1] == 0.0
     assert fld.distance[0, 1, 1] == pytest.approx(1.0)
     assert fld.distance[0, 0, 0] == pytest.approx(np.sqrt(3.0))
 
 
 def test_matches_brute_force_on_random_grids(rng):
-    for _ in range(20):
-        dims = tuple(rng.integers(1, 9, size=3))  # dims of 1 included
-        occ = rng.random(dims) < 0.3
-        if not occ.any():
-            continue
+    # d_safe inf: a band as wide as the grid diagonal, so every distance is
+    # exact; otherwise the band the pipeline derives from d_safe
+    for d_safe_voxels in (math.inf, 0.0, 2.0, 3.5) * 20:
+        dims = tuple(rng.integers(1, 12, size=3))  # dims of 1 included
+        occ = rng.random(dims) < rng.uniform(0.0, 0.3)
         grid = _grid(occ)
-        fld = compute_edt(grid)
-        np.testing.assert_allclose(fld.distance, brute_force_edt(grid), atol=1e-12)
+        band = clearance_band(grid, d_safe_voxels * grid.voxel_size)
+        fld = compute_edt(grid, band)
+        assert fld.band == band
+        np.testing.assert_allclose(fld.distance, brute_force_edt(grid, band), atol=1e-12)
         got_sq = np.rint((fld.distance / grid.voxel_size) ** 2).astype(np.int64)
-        np.testing.assert_array_equal(got_sq, brute_force_edt_sq(occ))
+        want_sq = brute_force_edt_sq(occ, band)
+        np.testing.assert_array_equal(got_sq, want_sq)
+        if occ.any() and math.isinf(d_safe_voxels):
+            unbanded = brute_force_edt_sq(occ, np.iinfo(np.int32).max)
+            np.testing.assert_array_equal(got_sq, unbanded)
 
 
-def test_empty_grid_uses_sentinel():
+def test_band_follows_d_safe_and_stops_at_the_grid_diagonal():
+    grid = _grid(np.zeros((64, 64, 64), bool), voxel=0.2)
+    assert clearance_band(grid, 1.6) == 11  # ceil(8 + sqrt(3)) + 1
+    assert clearance_band(grid, 0.0) == 3
+    assert clearance_band(grid, math.inf) == 111 == math.ceil(64 * math.sqrt(3))
+    assert clearance_band(grid, 1e300) == 111
+
+
+def test_empty_grid_saturates_at_the_band():
     grid = _grid(np.zeros((4, 5, 6), bool), voxel=0.5)
-    fld = compute_edt(grid)
-    want = sentinel_distance((4, 5, 6), 0.5)
-    assert np.all(fld.distance == want)
-    assert want == pytest.approx(np.sqrt(4**2 + 5**2 + 6**2) * 0.5)
+    for band in (3, clearance_band(grid, math.inf)):
+        fld = compute_edt(grid, band)
+        assert np.all(fld.distance == band * 0.5)
+        assert fld.exact_below == (band - math.sqrt(3)) * 0.5
+    assert clearance_band(grid, math.inf) == 9  # ceil(|(4, 5, 6)|)
+
+
+def test_a_sample_below_exact_below_reads_no_saturated_corner(rng):
+    # what lets the pipeline's band leave every refiner read exact
+    for _ in range(10):
+        occ = rng.random((10, 10, 10)) < 0.02
+        occ.flat[rng.integers(occ.size)] = True
+        grid = _grid(occ)
+        full = _full_edt(grid)
+        banded = compute_edt(grid, clearance_band(grid, 2 * grid.voxel_size))
+        p = rng.uniform(-0.1, 1.1, size=(2000, 3))
+        below = banded.sample(p) < banded.exact_below
+        assert below.any() and not below.all()
+        assert np.array_equal(banded.sample(p[below]), full.sample(p[below]))
+        assert np.array_equal(banded.gradient(p[below]), full.gradient(p[below]))
+        assert np.all(banded.sample(p[~below]) <= full.sample(p[~below]))
 
 
 def test_sample_at_voxel_centers_equals_lattice(rng):
     occ = rng.random((6, 6, 6)) < 0.25
     occ[0, 0, 0] = True
     grid = _grid(occ)
-    fld = compute_edt(grid)
+    fld = _full_edt(grid)
     cells = np.argwhere(np.ones((6, 6, 6), bool))
     centers = grid.min_corner + (cells + 0.5) * grid.voxel_size
     np.testing.assert_allclose(
@@ -60,7 +98,7 @@ def test_sample_at_voxel_centers_equals_lattice(rng):
 def test_sample_is_convex_combination_of_corners(rng):
     occ = rng.random((5, 5, 5)) < 0.3
     occ[2, 2, 2] = True
-    fld = compute_edt(_grid(occ))
+    fld = _full_edt(_grid(occ))
     for _ in range(200):
         p = rng.uniform(0.05, 0.45, size=3)
         val = fld.sample(p)
@@ -70,7 +108,7 @@ def test_sample_is_convex_combination_of_corners(rng):
 def test_out_of_bounds_queries_clamp():
     occ = np.zeros((4, 4, 4), bool)
     occ[0, 0, 0] = True
-    fld = compute_edt(_grid(occ, voxel=1.0))
+    fld = _full_edt(_grid(occ, voxel=1.0))
     far = fld.sample(np.array([100.0, 100.0, 100.0]))
     corner = fld.sample(np.array([3.5, 3.5, 3.5]))
     assert far == pytest.approx(corner)
@@ -80,7 +118,7 @@ def test_gradient_matches_finite_differences(rng):
     occ = rng.random((8, 8, 8)) < 0.2
     occ[4, 4, 4] = True
     grid = _grid(occ)
-    fld = compute_edt(grid)
+    fld = _full_edt(grid)
     # probe strictly inside interpolation cells so the interpolant is smooth
     cells = rng.integers(0, 7, size=(30, 3))
     frac = rng.uniform(0.1, 0.9, size=(30, 3))
@@ -163,7 +201,7 @@ def test_sample_and_gradient_match_the_per_corner_reference(rng):
         dims = tuple(int(d) for d in rng.integers(1, 5, size=3))
         occ = rng.random(dims) < 0.3
         occ.flat[rng.integers(occ.size)] = True
-        fld = compute_edt(_grid(occ))
+        fld = _full_edt(_grid(occ))
         extent = np.asarray(dims) * fld.voxel_size
         for shape in ((3,), (9, 3), (4, 5, 3)):
             p = rng.uniform(-0.15, 1.15, size=shape) * extent

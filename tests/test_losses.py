@@ -1,6 +1,8 @@
 """Loss values and analytic gradients against closed forms and finite
 differences."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,7 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from voxpick import losses
-from voxpick.distance_field import compute_edt
+from voxpick.distance_field import clearance_band, compute_edt
 from voxpick.oracles import finite_difference_gradient, gradient_max_rel_error
 from voxpick.scene import GridBounds, OccupancyGrid
 from voxpick.selfcheck import corrupted_gradient
@@ -85,7 +87,7 @@ def _field(rng):
     occ = rng.random((10, 10, 10)) < 0.2
     occ[5, 5, 5] = True
     grid = OccupancyGrid((10, 10, 10), GridBounds((0.0, 0.0, 0.0), 0.1), occ)
-    return grid, compute_edt(grid)
+    return grid, compute_edt(grid, clearance_band(grid, math.inf))
 
 
 def test_collision_zero_when_clear(rng):

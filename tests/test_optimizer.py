@@ -1,12 +1,14 @@
 """Refinement behavior: config validation, iterate selection, endpoint
 pinning, stacking of the three legs."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from voxpick.distance_field import compute_edt
+from voxpick.distance_field import clearance_band, compute_edt
 from voxpick.errors import NonFiniteLoss
 from voxpick.grid_planner import Stage, SubTrajectory, Trajectory
 from voxpick import losses, optimizer
@@ -22,14 +24,14 @@ from voxpick.scene import GridBounds, OccupancyGrid
 
 def _empty_field(dims=(16, 16, 16), voxel=0.25):
     grid = OccupancyGrid(dims, GridBounds((0.0, 0.0, 0.0), voxel), np.zeros(dims, bool))
-    return compute_edt(grid)
+    return compute_edt(grid, clearance_band(grid, math.inf))
 
 
 def _occupied_field(voxel=0.25):
     occ = np.zeros((16, 16, 16), bool)
     occ[:, :, :4] = True  # floor slab
     grid = OccupancyGrid((16, 16, 16), GridBounds((0.0, 0.0, 0.0), voxel), occ)
-    return compute_edt(grid)
+    return compute_edt(grid, clearance_band(grid, math.inf))
 
 
 def _refine(P0, fld, cfg):

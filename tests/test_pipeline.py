@@ -3,6 +3,7 @@ determinism."""
 
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -14,9 +15,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from voxpick import pipeline
+from voxpick.distance_field import clearance_band, compute_edt
 from voxpick.errors import ParseError, VoxpickError
-from voxpick.grid_planner import Stage, SubTrajectory, Trajectory
-from voxpick.optimizer import PlannerConfig
+from voxpick.grid_planner import Stage, SubTrajectory, Trajectory, plan_three_stage
+from voxpick.optimizer import PlannerConfig, optimize_trajectory
 from voxpick.pipeline import (
     Scenario,
     actor_frames,
@@ -192,10 +194,10 @@ def test_endpoint_drift_is_an_error_not_an_assert(monkeypatch):
 
 # sha256 of the sink template's bundle, hashed as perfbench/run.py's
 # tree_digest does; a change that alters any bundle byte must say so
-SINK_BUNDLE_SHA256 = "3a35f7025f8faf712b89a3e52e75f298f8b449ede53b1cccab05aafdd548cccc"
+SINK_BUNDLE_SHA256 = "1e1a108e53519b9921b124dfdd0c07adfcc2033d029de8d866993a4e301c92a4"
 # the same for the sink with its rim raised into a divider (the partition
 # benchmark's scenario before keypoint jitter)
-PARTITION_BUNDLE_SHA256 = "f2de1cd1df01caa159c4f5a32c7e44ee1a5339f60c1ba364e2b9102c9fff4443"
+PARTITION_BUNDLE_SHA256 = "563fa62773dfa42cf599ea1a65e8e8e256b3de95022f143de42ce49e9809da27"
 
 
 def _tree_digest(root):
@@ -228,19 +230,51 @@ def test_sink_bundle_pin_holds_on_one_blas_thread(tmp_path):
     assert _tree_digest(tmp_path / "bundle") == SINK_BUNDLE_SHA256
 
 
-def test_partition_bundle_bytes_are_pinned(tmp_path):
+def _partition_scenario():
     d = scenario_to_dict(sink_scenario())
     (rim,) = [p for p in d["scene"]["primitives"] if p["name"] == "rim"]
     rim["min_m"][1] = 0.4
     rim["max_m"][1] = 12.4
     rim["max_m"][2] = 10.0
-    bundle = run(scenario_from_dict(d))
+    return scenario_from_dict(d)
+
+
+def test_partition_bundle_bytes_are_pinned(tmp_path):
+    bundle = run(_partition_scenario())
     # the divider keeps approach and back_idle inside d_safe, so the bytes
     # pin the optimizer's fallback choice there; manipulate clears it
     col = {k: t.col for k, t in bundle.loss_report.per_stage_after.items()}
     assert col["approach"] > 0.0 and col["back_idle"] > 0.0 and col["manipulate"] == 0.0
     write_bundle(bundle, tmp_path / "bundle")
     assert _tree_digest(tmp_path / "bundle") == PARTITION_BUNDLE_SHA256
+
+
+@pytest.mark.parametrize("make", [sink_scenario, _partition_scenario])
+def test_refinement_is_bit_identical_at_the_pipeline_band(make):
+    # every distance the refiner reads lies below the band, so a field
+    # saturated there refines exactly as the full field does
+    scenario = make()
+    grid, _ = pipeline.build_grid(scenario)
+    spec = scenario.spec
+    initial = plan_three_stage(grid, spec.effector_start, spec.grasp_point(), spec.place_target,
+                               clearance_voxels=scenario.config.clearance_voxels)
+    banded, full = (compute_edt(grid, clearance_band(grid, d))
+                    for d in (scenario.config.d_safe, math.inf))
+    assert banded.band == 11 < full.band
+    assert (banded.distance < full.distance).any()  # the band does saturate
+    (legs0, rep0), (legs1, rep1) = (optimize_trajectory(initial, f, scenario.config)
+                                    for f in (banded, full))
+    assert [s.points.tobytes() for s in legs0.subs] == [s.points.tobytes() for s in legs1.subs]
+    assert json.dumps(rep0.as_dict()) == json.dumps(rep1.as_dict())
+
+
+def test_d_safe_may_reach_the_grid_diagonal():
+    d = scenario_to_dict(sink_scenario())
+    d["planner"]["d_safe_m"] = math.hypot(64, 64, 64) * 0.2
+    assert scenario_from_dict(d).config.d_safe == d["planner"]["d_safe_m"]
+    d["planner"]["d_safe_m"] = math.nextafter(d["planner"]["d_safe_m"], math.inf)
+    with pytest.raises(ParseError, match="planner.d_safe_m .* exceeds the grid diagonal"):
+        scenario_from_dict(d)
 
 
 def _tree_bytes(root):
