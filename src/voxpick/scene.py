@@ -107,6 +107,13 @@ class Box:
         hi = np.asarray(self.max_m)
         return np.all((p >= lo) & (p <= hi), axis=-1)
 
+    def mark(self, occ: np.ndarray, axes) -> None:
+        """Set the cells of ``occ`` whose center ``contains`` would accept;
+        ``axes`` holds the center coordinates along each axis. The test
+        separates by axis, so each axis's centers are compared once."""
+        inside = [(a >= lo) & (a <= hi) for a, lo, hi in zip(axes, self.min_m, self.max_m)]
+        occ[np.ix_(*inside)] = True
+
 
 @dataclass(frozen=True)
 class Sphere:
@@ -121,6 +128,16 @@ class Sphere:
     def contains(self, p: np.ndarray) -> np.ndarray:
         d = p - np.asarray(self.center_m)
         return np.einsum("...k,...k->...", d, d) <= self.radius_m**2
+
+    def mark(self, occ: np.ndarray, axes) -> None:
+        """As ``Box.mark``, with ``contains`` run only inside the sphere's
+        bounding window: the centers whose squared offset along each axis
+        alone is within r^2. A sum of squares is at least each of its
+        terms, in floats too, so no center outside the window is inside."""
+        r2 = self.radius_m**2
+        window = [(a - c) * (a - c) <= r2 for a, c in zip(axes, self.center_m)]
+        sub = np.meshgrid(*(a[w] for a, w in zip(axes, window)), indexing="ij")
+        occ[np.ix_(*window)] |= self.contains(np.stack(sub, axis=-1))
 
 
 @dataclass(frozen=True)
@@ -142,6 +159,13 @@ class Plane:
     def contains(self, p: np.ndarray) -> np.ndarray:
         coord = p[..., self.axis]
         return coord <= self.offset_m if self.side == "below" else coord >= self.offset_m
+
+    def mark(self, occ: np.ndarray, axes) -> None:
+        """As ``Box.mark``: only the plane's axis is compared."""
+        a = axes[self.axis]
+        index = [slice(None)] * 3
+        index[self.axis] = a <= self.offset_m if self.side == "below" else a >= self.offset_m
+        occ[tuple(index)] = True
 
 
 Primitive = Union[Box, Sphere, Plane]
@@ -269,11 +293,9 @@ def synth_scene(spec: SceneSpec, dims, bounds: GridBounds) -> OccupancyGrid:
         np.asarray(bounds.min_corner)[k] + (np.arange(dims[k]) + 0.5) * bounds.voxel_size
         for k in range(3)
     ]
-    cx, cy, cz = np.meshgrid(*axes, indexing="ij")
-    centers = np.stack([cx, cy, cz], axis=-1)
     occ = np.zeros(dims, dtype=bool)
     for prim in spec.primitives:
-        occ |= prim.contains(centers)
+        prim.mark(occ, axes)
     grid = OccupancyGrid(dims, bounds, occ)
     for name, p in (
         ("effector start", spec.effector_start),

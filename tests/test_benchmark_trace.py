@@ -5,9 +5,11 @@ here rather than in a traced benchmark run."""
 import os
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
-from voxpick import pipeline
+from voxpick import grid_planner, pipeline
+from voxpick.scene import GridBounds, OccupancyGrid
 from voxpick.templates import empty_scenario
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
@@ -51,3 +53,22 @@ def test_traced_run_records_each_stage(spans):
     # the three legs are refined stacked: one evaluation of the objective
     # for the input and one per iteration, not one per leg
     assert rec.counts["op"]["losses.eval_calls"] == 3
+
+
+def test_traced_heap_counts_survive_the_hop_bound(spans, monkeypatch):
+    # a wall the path must climb over: the search pops past the trigger and
+    # builds its hop bound; the counting heapq must still see every push and
+    # pop, which it would not if the search bound heappush at import time
+    occ = np.zeros((24, 24, 24), bool)
+    occ[12, :, :20] = True
+    grid = OccupancyGrid(occ.shape, GridBounds((0.0, 0.0, 0.0), 1.0), occ)
+    built = []
+    real = grid_planner._hop_bound
+    monkeypatch.setattr(grid_planner, "_hop_bound", lambda *a: built.append(1) or real(*a))
+    rec = spans.Recorder()
+    with rec.op_span("op"), spans.traced(rec):
+        grid_planner.plan_segment(grid, (2, 12, 2), (22, 12, 2), clearance_voxels=0)
+    assert built
+    trigger = 26**3 * grid_planner._BOUND_AFTER_POPS
+    assert rec.counts["op"]["grid_planner.nodes_expanded"] > trigger
+    assert rec.counts["op"]["grid_planner.nodes_pushed"] > 0

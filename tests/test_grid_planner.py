@@ -2,8 +2,9 @@
 
 import heapq
 import itertools
+import time
 from dataclasses import replace
-from math import sqrt
+from math import inf, sqrt
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from voxpick.grid_planner import (
     SubTrajectory,
     Trajectory,
     _astar_cells,
+    _hop_bound,
     dilate_chebyshev,
     plan_segment,
     plan_three_stage,
@@ -269,10 +271,153 @@ def test_three_stage_on_partition_matches_reference(monkeypatch):
             clearance_voxels=scenario.config.clearance_voxels,
         )
 
+    built = []
+    real = grid_planner._hop_bound
+    monkeypatch.setattr(grid_planner, "_hop_bound", lambda *a: built.append(a) or real(*a))
     got = plan()
+    # the two legs that climb over the divider pop past the bound's trigger
+    assert len(built) == 2
     monkeypatch.setattr(grid_planner, "_astar_cells", _astar_reference)
     want = plan()
     for a, b in zip(got.subs, want.subs):
         np.testing.assert_array_equal(a.points, b.points)
         assert a.cost == b.cost
         assert a.clearance_used == b.clearance_used
+
+
+# --- the hop bound prunes work, never a path ---------------------------------
+
+
+def _astar_unpruned(free, start, goal):
+    """The flat-index search as it was before the hop bound, kept frozen:
+    the pruned search must return exactly its cells and cost."""
+    start = tuple(int(v) for v in start)
+    goal = tuple(int(v) for v in goal)
+    if start == goal:
+        return [start], 0.0
+
+    nx, ny, nz = free.shape
+    pz = nz + 2
+    sx = (ny + 2) * pz
+    padded = np.zeros((nx + 2, ny + 2, nz + 2), dtype=bool)
+    padded[1:-1, 1:-1, 1:-1] = free
+    open_ = bytearray(padded.tobytes())
+    moves = tuple(
+        (dx * sx + dy * pz + dz, dx, dy, dz, step) for (dx, dy, dz), step in _NEIGHBORS
+    )
+    gx, gy, gz = goal[0] + 1, goal[1] + 1, goal[2] + 1
+    s = (start[0] + 1) * sx + (start[1] + 1) * pz + start[2] + 1
+    t = gx * sx + gy * pz + gz
+    g = [inf] * len(open_)
+    g[s] = 0.0
+    came_from = [0] * len(open_)
+    ex, ey, ez = gx - start[0] - 1, gy - start[1] - 1, gz - start[2] - 1
+    h0 = sqrt(ex * ex + ey * ey + ez * ez)
+    heap = [(h0, h0, s)]
+    while heap:
+        i = heapq.heappop(heap)[2]
+        if not open_[i]:
+            continue
+        if i == t:
+            break
+        open_[i] = 0
+        gc = g[i]
+        x, r = divmod(i, sx)
+        y, z = divmod(r, pz)
+        ex, ey, ez = gx - x, gy - y, gz - z
+        for off, dx, dy, dz, step in moves:
+            j = i + off
+            if open_[j]:
+                ng = gc + step
+                if ng < g[j]:
+                    g[j] = ng
+                    came_from[j] = i
+                    a, b, c = ex - dx, ey - dy, ez - dz
+                    hn = sqrt(a * a + b * b + c * c)
+                    heapq.heappush(heap, (ng + hn, hn, j))
+    else:
+        return None, inf
+
+    path = [t]
+    while i != s:
+        i = came_from[i]
+        path.append(i)
+    cells = []
+    for i in reversed(path):
+        x, r = divmod(i, sx)
+        y, z = divmod(r, pz)
+        cells.append((x - 1, y - 1, z - 1))
+    return cells, g[t]
+
+
+def _random_query(rng, max_side=17):
+    """A random grid (3..max_side a side, obstacle density 0..0.85) and two
+    distinct free cells on it, or None when fewer than two cells are free."""
+    dims = tuple(int(n) for n in rng.integers(3, max_side + 1, size=3))
+    free = rng.random(dims) >= rng.uniform(0.0, 0.85)
+    cells = np.argwhere(free)
+    if len(cells) < 2:
+        return None
+    start, goal = cells[rng.choice(len(cells), 2, replace=False)]
+    return free, tuple(start), tuple(goal)
+
+
+def _flat(padded, cell):
+    """A cell's int in the padded, flattened layout the search uses."""
+    return int(np.ravel_multi_index(np.add(cell, 1), padded.shape))
+
+
+@pytest.mark.parametrize("when", ["first pop", "random pop", "never"])
+def test_pruned_search_matches_the_unpruned_one(rng, monkeypatch, when):
+    unreachable = 0
+    for k in range(300):
+        query = _random_query(rng)
+        if query is None:
+            continue
+        free, start, goal = query
+        cells = (free.shape[0] + 2) * (free.shape[1] + 2) * (free.shape[2] + 2)
+        share = {"first pop": 0.0, "random pop": rng.integers(1, 200) / cells, "never": inf}
+        monkeypatch.setattr(grid_planner, "_BOUND_AFTER_POPS", share[when])
+        want = _astar_unpruned(free, start, goal)
+        got = _astar_cells(free, start, goal)
+        assert got[0] == want[0], (k, start, goal)
+        assert got[1] == want[1], (k, start, goal)
+        unreachable += want[0] is None
+    assert unreachable > 0  # grids with no path are among the cases
+
+
+def test_hops_and_descent_bound_the_optimal_cost(rng):
+    checked = 0
+    for k in range(40):
+        query = _random_query(rng, max_side=6)
+        if query is None:
+            continue
+        free, start, goal = query
+        padded = np.pad(free, 1)
+        best = dijkstra_cost(free, start, goal)
+        bound = _hop_bound(padded, _flat(padded, start), _flat(padded, goal))
+        if bound is None:
+            assert best == inf
+            continue
+        upper, hops = bound
+        assert upper >= best - 1e-12
+        for cell in map(tuple, np.argwhere(free)):
+            # a lower bound on the cost to go, also on cells cut off from the goal
+            assert hops[_flat(padded, cell)] <= dijkstra_cost(free, cell, goal)
+        checked += 1
+    assert checked > 10
+
+
+def test_a_sealed_goal_ends_in_no_path_quickly():
+    # the goal sits inside a hollow 7^3 box in an otherwise free 64^3 grid:
+    # the search stops once the hop bound finds that the goal cannot reach
+    # the start, instead of closing the start's whole component
+    occ = np.zeros((64, 64, 64), bool)
+    occ[40:47, 40:47, 40:47] = True
+    occ[41:46, 41:46, 41:46] = False
+    grid = _grid(occ)
+    t0 = time.perf_counter()
+    with pytest.raises(NoPath):
+        plan_segment(grid, (2, 2, 2), (43, 43, 43), clearance_voxels=0)
+    elapsed = time.perf_counter() - t0
+    assert elapsed < 1.0, f"took {elapsed:.2f}s, budget 1s"

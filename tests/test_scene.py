@@ -147,6 +147,39 @@ def test_primitive_containment(prim, inside, outside):
     assert not prim.contains(np.asarray(outside, float))
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_marking_matches_per_center_containment(data):
+    dims = data.draw(st.tuples(*[st.integers(1, 8)] * 3))
+    voxel = data.draw(st.sampled_from([0.1, 0.2, 0.25, 0.3, 1.0]))
+    corner = data.draw(st.tuples(*[st.floats(-2.0, 2.0)] * 3))
+    axes = [corner[k] + (np.arange(dims[k]) + 0.5) * voxel for k in range(3)]
+
+    def coord(k):
+        # anywhere around the grid, or exactly on a row of voxel centers
+        near = st.floats(corner[k] - 1.0, corner[k] + dims[k] * voxel + 1.0)
+        return st.one_of(near, st.sampled_from(axes[k].tolist()))
+
+    kind = data.draw(st.sampled_from(["box", "sphere", "plane"]))
+    if kind == "box":  # lo above hi on some axis gives an empty box
+        prim = Box(*(tuple(data.draw(coord(k)) for k in range(3)) for _ in range(2)))
+    elif kind == "sphere":
+        center = tuple(data.draw(coord(k)) for k in range(3))
+        on = np.asarray([data.draw(st.sampled_from(a.tolist())) for a in axes]) - center
+        # either any radius, or one whose surface passes through a voxel center
+        radius = data.draw(st.one_of(st.floats(0.01, 3.0), st.just(float(np.sqrt(on @ on)))))
+        if not radius > 0:
+            return
+        prim = Sphere(center, radius)
+    else:
+        axis = data.draw(st.integers(0, 2))
+        prim = Plane(axis, data.draw(coord(axis)), data.draw(st.sampled_from(["below", "above"])))
+    occ = np.zeros(dims, bool)
+    prim.mark(occ, axes)
+    centers = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+    np.testing.assert_array_equal(occ, prim.contains(centers))
+
+
 def _spec(**kw):
     defaults = dict(
         primitives=(),
