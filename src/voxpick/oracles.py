@@ -14,8 +14,6 @@ from typing import Callable
 
 import numpy as np
 
-from .scene import OccupancyGrid
-
 
 def brute_force_edt_sq(occupied: np.ndarray, band: int) -> np.ndarray:
     """Squared cell distances (integer) by minimizing over every occupied
@@ -29,11 +27,6 @@ def brute_force_edt_sq(occupied: np.ndarray, band: int) -> np.ndarray:
         nearest = np.einsum("ijk,ijk->ij", diff, diff).min(axis=1).reshape(dims)
         np.minimum(sq, nearest, out=sq)
     return sq
-
-
-def brute_force_edt(grid: OccupancyGrid, band: int) -> np.ndarray:
-    """Distances in meters, matching compute_edt's contract."""
-    return np.sqrt(brute_force_edt_sq(grid.occupied, band).astype(np.float64)) * grid.voxel_size
 
 
 _STEPS = [

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import scene as scene_mod
 from .distance_field import DistanceField, clearance_band, compute_edt
-from .errors import ParseError, VoxpickError, tag_stage
+from .errors import KeypointOccupied, ParseError, VoxpickError, tag_stage
 from .grid_planner import Stage, Trajectory, plan_three_stage
 from .optimizer import LossReport, PlannerConfig, optimize_trajectory
 from .projection import (
@@ -39,10 +39,10 @@ from .time_alloc import (
     VelocityProfile,
     arc_length,
     reallocate,
-    speed_profile_csv_rows,
 )
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 1  # of the scenario file
+BUNDLE_SCHEMA_VERSION = 2  # of the bundle's manifest.json
 
 
 @dataclass(frozen=True)
@@ -109,8 +109,6 @@ class RunBundle:
     clearance_band_m: float  # the field's exact_below: no ClearanceStats value exceeds it
     clearance_before: Dict[str, ClearanceStats]
     clearance_after: Dict[str, ClearanceStats]
-    speeds_before: np.ndarray  # chords of optimized waypoints, pre-reallocation
-    speeds_after: np.ndarray  # chords of the timed optimized trajectory
     masks: List[GuidanceMask]
     points_outside: int = 0
 
@@ -127,10 +125,23 @@ def _clearance(traj: Trajectory, fld: DistanceField) -> Dict[str, ClearanceStats
 
 
 def build_grid(scenario: Scenario) -> Tuple[OccupancyGrid, int]:
+    """The grid from the primitives or the point cloud, and the count of
+    cloud points outside it. Whatever the source, each keypoint a leg starts
+    or ends at must land in a free cell."""
+    spec = scenario.spec
     if scenario.cloud_path is None:
-        return scene_mod.synth_scene(scenario.spec, scenario.dims, scenario.bounds), 0
-    cloud = scene_mod.load_point_cloud(scenario.cloud_path)
-    return scene_mod.voxelize(cloud, scenario.dims, scenario.bounds)
+        grid, outside = scene_mod.synth_scene(spec, scenario.dims, scenario.bounds), 0
+    else:
+        cloud = scene_mod.load_point_cloud(scenario.cloud_path)
+        grid, outside = scene_mod.voxelize(cloud, scenario.dims, scenario.bounds)
+    keypoints = {"effector start": spec.effector_start, "grasp point": spec.grasp_point(),
+                 "place target": spec.place_target}
+    for name, p in keypoints.items():
+        cell = grid.world_to_grid(p)
+        if not grid.is_free(cell):
+            where = tuple(np.asarray(p).tolist())
+            raise KeypointOccupied(f"{name} at {where} lands in occupied cell {cell}")
+    return grid, outside
 
 
 def actor_frames(
@@ -184,6 +195,11 @@ def run(scenario: Scenario) -> RunBundle:
 
     optimized, report = optimize_trajectory(initial, fld, scenario.config)
     for sub0, sub1 in zip(initial.subs, optimized.subs):
+        _invariant(
+            len(sub0.points) == len(sub1.points),
+            "optimize",
+            f"{sub0.stage.value}: waypoint count changed",
+        )
         for end in (0, -1):
             _invariant(
                 np.array_equal(sub0.points[end], sub1.points[end]),
@@ -222,8 +238,6 @@ def run(scenario: Scenario) -> RunBundle:
         clearance_band_m=fld.exact_below,
         clearance_before=_clearance(initial, fld),
         clearance_after=_clearance(optimized, fld),
-        speeds_before=np.linalg.norm(np.diff(optimized.waypoints(), axis=0), axis=1),
-        speeds_after=timed_optimized.speeds(),
         masks=masks,
         points_outside=outside,
     )
@@ -430,22 +444,24 @@ def save_scenario(s: Scenario, path) -> None:
 # --- bundle writing ---------------------------------------------------------
 
 
-def _traj_records(timed: TimedTrajectory, pre_opt: Optional[np.ndarray] = None):
-    """One record per frame; ``pre_opt`` holds the positions before optimization."""
-    for k, (p, stage) in enumerate(zip(timed.positions, timed.stages)):
-        rec = {
-            "frame": k,
-            "stage": stage.value,
-            "gripper": STAGE_GRIPPER[stage].value,
-            "x_m": float(p[0]),
-            "y_m": float(p[1]),
-            "z_m": float(p[2]),
-        }
-        if pre_opt is not None:
-            rec["pre_opt_x_m"] = float(pre_opt[k, 0])
-            rec["pre_opt_y_m"] = float(pre_opt[k, 1])
-            rec["pre_opt_z_m"] = float(pre_opt[k, 2])
-        yield rec
+_XYZ = ("x_m", "y_m", "z_m")
+_WAYPOINT_XYZ = _XYZ + tuple("initial_" + k for k in _XYZ)
+
+
+def _traj_records(timed: TimedTrajectory):
+    """One record per frame."""
+    for k, (p, stage) in enumerate(zip(timed.positions.tolist(), timed.stages)):
+        yield {"frame": k, "stage": stage.value, "gripper": STAGE_GRIPPER[stage].value,
+               **dict(zip(_XYZ, p))}
+
+
+def _waypoint_records(initial: Trajectory, optimized: Trajectory):
+    """One record per waypoint of each leg in stage order, a junction in
+    both of its legs: the refined position and the grid-planned one, which
+    share a record because refinement keeps each leg's waypoint count."""
+    for sub0, sub1 in zip(initial.subs, optimized.subs):
+        for p0, p1 in zip(sub0.points.tolist(), sub1.points.tolist()):
+            yield {"stage": sub1.stage.value, **dict(zip(_WAYPOINT_XYZ, p1 + p0))}
 
 
 def _write_jsonl(path, records) -> None:
@@ -466,8 +482,11 @@ def write_bundle(bundle: RunBundle, out_dir) -> None:
         os.path.join(out_dir, "trajectory_initial.jsonl"), _traj_records(bundle.timed_initial)
     )
     _write_jsonl(
-        os.path.join(out_dir, "trajectory_optimized.jsonl"),
-        _traj_records(bundle.timed_optimized, pre_opt=bundle.timed_initial.positions),
+        os.path.join(out_dir, "trajectory_optimized.jsonl"), _traj_records(bundle.timed_optimized)
+    )
+    _write_jsonl(
+        os.path.join(out_dir, "waypoints.jsonl"),
+        _waypoint_records(bundle.initial, bundle.optimized),
     )
     metrics = {
         "losses": bundle.loss_report.as_dict(),
@@ -484,11 +503,6 @@ def write_bundle(bundle: RunBundle, out_dir) -> None:
     }
     _dump_json(metrics, os.path.join(out_dir, "metrics.json"))
 
-    with open(os.path.join(out_dir, "speeds.csv"), "w", encoding="ascii") as fh:
-        fh.write("frame,speed_before_m,speed_after_m\n")
-        for k, b, a in speed_profile_csv_rows(bundle.speeds_before, bundle.speeds_after):
-            fh.write(f"{k},{b},{a}\n")
-
     mask_files = []
     for k, m in enumerate(bundle.masks):
         name = f"frame_{k:04d}.pgm"
@@ -496,24 +510,20 @@ def write_bundle(bundle: RunBundle, out_dir) -> None:
         mask_files.append(name)
     _dump_json(
         {
-            "frame_count": len(bundle.masks),
             "keep_first_frame": bundle.masks[0].keep_first_frame,
             "palette": PALETTE,
-            "object_rest_positions_drawn": True,
-            "camera": scenario_to_dict(bundle.scenario)["camera"],
             "files": mask_files,
         },
         os.path.join(masks_dir, "manifest.json"),
     )
     _dump_json(
         {
-            "schema_version": SCHEMA_VERSION,
+            "schema_version": BUNDLE_SCHEMA_VERSION,
             "scenario": "scenario.json",
             "trajectories": ["trajectory_initial.jsonl", "trajectory_optimized.jsonl"],
+            "waypoints": "waypoints.jsonl",
             "metrics": "metrics.json",
-            "speeds": "speeds.csv",
             "masks": "masks/manifest.json",
-            "total_frames": bundle.scenario.total_frames,
         },
         os.path.join(out_dir, "manifest.json"),
     )

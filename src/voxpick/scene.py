@@ -12,13 +12,7 @@ from typing import Optional, Tuple, Union
 
 import numpy as np
 
-from .errors import (
-    DegenerateBounds,
-    IoError,
-    KeypointOccupied,
-    OutOfBounds,
-    ParseError,
-)
+from .errors import DegenerateBounds, IoError, OutOfBounds, ParseError
 
 Vec3 = Tuple[float, float, float]
 
@@ -296,13 +290,4 @@ def synth_scene(spec: SceneSpec, dims, bounds: GridBounds) -> OccupancyGrid:
     occ = np.zeros(dims, dtype=bool)
     for prim in spec.primitives:
         prim.mark(occ, axes)
-    grid = OccupancyGrid(dims, bounds, occ)
-    for name, p in (
-        ("effector start", spec.effector_start),
-        ("object", spec.object_position),
-        ("place target", spec.place_target),
-    ):
-        cell = grid.world_to_grid(p)
-        if not grid.is_free(cell):
-            raise KeypointOccupied(f"{name} at {tuple(p)} lands in occupied cell {cell}")
-    return grid
+    return OccupancyGrid(dims, bounds, occ)

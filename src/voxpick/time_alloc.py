@@ -159,18 +159,3 @@ def reallocate(
     stages = (Stage.APPROACH,) * n1 + (Stage.MANIPULATE,) * n2 + (Stage.BACK_IDLE,) * n3
     return TimedTrajectory(positions, stages)
 
-
-def speed_profile_csv_rows(before: np.ndarray, after: np.ndarray):
-    """Rows (frame, speed_before, speed_after) for plotting; ragged tails
-    are left blank."""
-    n = max(len(before), len(after))
-    rows = []
-    for k in range(n):
-        rows.append(
-            (
-                k,
-                repr(float(before[k])) if k < len(before) else "",
-                repr(float(after[k])) if k < len(after) else "",
-            )
-        )
-    return rows

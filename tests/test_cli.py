@@ -241,7 +241,7 @@ def trajectory_bundle(planned, tmp_path_factory):
     return root
 
 
-_RECORD_KEYS = ["frame", "stage", "gripper", "x_m", "y_m", "z_m", "pre_opt_x_m", "extra"]
+_RECORD_KEYS = ["frame", "stage", "gripper", "x_m", "y_m", "z_m", "extra"]
 _RECORD_VALUES = st.one_of(
     st.none(), st.booleans(), st.integers(-2, 60), st.just(10**400),
     st.floats(allow_nan=True, allow_infinity=True), st.text(max_size=3),
@@ -457,6 +457,34 @@ def test_out_of_bounds_keypoint_prints_plain_floats(planned, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:parse:parse: effector_start (6.8, 6.4, 13.0) outside")
     assert "np.float64" not in err
+
+
+def _assert_one_keypoint_error(capsys, name):
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1, lines
+    assert lines[0].startswith(f"error:scene:keypoint-occupied: {name} at ("), lines
+    assert "np.float64" not in lines[0]
+
+
+def test_an_effector_start_in_the_cloud_exits_2_as_with_primitives(planned, tmp_path, capsys):
+    # occupancy from a point cloud gets the same keypoint check as from
+    # primitives, not A*'s start-occupied (exit 3)
+    def edit(d):
+        cloud = tmp_path / "cloud.xyz"
+        cloud.write_text(" ".join(repr(v) for v in d["scene"]["effector_start_m"]) + "\n")
+        d["cloud_path"] = str(cloud)
+
+    assert _plan_edited(planned, tmp_path, edit) == 2
+    _assert_one_keypoint_error(capsys, "effector start")
+
+
+def test_a_grasp_point_in_the_rim_exits_2(planned, tmp_path, capsys):
+    # the object center is free; the grasp point it is offset to is not
+    rc = _plan_edited(
+        planned, tmp_path, lambda d: d["scene"].update(grasp_offset_m=[3.2, 0.0, -1.0])
+    )
+    assert rc == 2
+    _assert_one_keypoint_error(capsys, "grasp point")
 
 
 def _nan_first(key):

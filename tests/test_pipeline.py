@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from voxpick import pipeline
 from voxpick.distance_field import clearance_band, compute_edt
-from voxpick.errors import ParseError, VoxpickError
+from voxpick.errors import KeypointOccupied, ParseError, VoxpickError
 from voxpick.grid_planner import Stage, SubTrajectory, Trajectory, plan_three_stage
 from voxpick.optimizer import PlannerConfig, optimize_trajectory
 from voxpick.pipeline import (
@@ -30,7 +30,7 @@ from voxpick.pipeline import (
     write_bundle,
 )
 from voxpick.projection import PALETTE, CameraModel, read_pgm
-from voxpick.scene import GridBounds, SceneSpec
+from voxpick.scene import Box, GridBounds, SceneSpec
 from voxpick.templates import TEMPLATES, empty_scenario, make_template, sink_scenario
 
 
@@ -194,10 +194,10 @@ def test_endpoint_drift_is_an_error_not_an_assert(monkeypatch):
 
 # sha256 of the sink template's bundle, hashed as perfbench/run.py's
 # tree_digest does; a change that alters any bundle byte must say so
-SINK_BUNDLE_SHA256 = "1e1a108e53519b9921b124dfdd0c07adfcc2033d029de8d866993a4e301c92a4"
+SINK_BUNDLE_SHA256 = "703b1a7b38740fbe337edf6b701fa734560473247ec4ab6d6948af05dadd6c50"
 # the same for the sink with its rim raised into a divider (the partition
 # benchmark's scenario before keypoint jitter)
-PARTITION_BUNDLE_SHA256 = "563fa62773dfa42cf599ea1a65e8e8e256b3de95022f143de42ce49e9809da27"
+PARTITION_BUNDLE_SHA256 = "6c8fcafbeb9f1b9eb27d2bfecea624ea6c4523070b2f134262e59d6a390924bb"
 
 
 def _tree_digest(root):
@@ -300,23 +300,109 @@ def test_bundle_layout_and_contents(sink_bundle, tmp_path):
     out = tmp_path / "bundle"
     write_bundle(sink_bundle, out)
     manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["total_frames"] == sink_bundle.scenario.total_frames
+    assert set(manifest) == {"schema_version", "scenario", "trajectories", "waypoints",
+                             "metrics", "masks"}
     metrics = json.loads((out / "metrics.json").read_text())
     assert metrics["losses"]["after"]["total"] <= metrics["losses"]["before"]["total"]
 
     lines = (out / "trajectory_optimized.jsonl").read_text().splitlines()
     assert len(lines) == sink_bundle.scenario.total_frames
-    rec = json.loads(lines[0])
-    assert {"frame", "stage", "gripper", "x_m", "y_m", "z_m", "pre_opt_x_m"} <= set(rec)
+    assert set(json.loads(lines[0])) == {"frame", "stage", "gripper", "x_m", "y_m", "z_m"}
 
     mask_manifest = json.loads((out / "masks" / "manifest.json").read_text())
+    assert set(mask_manifest) == {"keep_first_frame", "palette", "files"}
     assert mask_manifest["palette"] == PALETTE
+    assert len(mask_manifest["files"]) == sink_bundle.scenario.total_frames
     img = read_pgm(out / "masks" / mask_manifest["files"][10])
     np.testing.assert_array_equal(img, sink_bundle.masks[10].image)
 
-    header, *rows = (out / "speeds.csv").read_text().splitlines()
-    assert header == "frame,speed_before_m,speed_after_m"
-    assert len(rows) == max(len(sink_bundle.speeds_before), len(sink_bundle.speeds_after))
+
+def _manifest_names(node):
+    """Every file name a manifest lists, in its values and lists."""
+    if isinstance(node, str):
+        yield node
+    elif isinstance(node, (list, dict)):
+        for v in node.values() if isinstance(node, dict) else node:
+            yield from _manifest_names(v)
+
+
+def test_the_manifests_list_every_bundle_file(sink_bundle, tmp_path):
+    # a file that no manifest names, such as a leftover speeds.csv, fails
+    out = tmp_path / "bundle"
+    write_bundle(sink_bundle, out)
+    manifest = json.loads((out / "manifest.json").read_text())
+    mask_files = json.loads((out / "masks" / "manifest.json").read_text())["files"]
+    named = {"manifest.json", *_manifest_names(
+        {k: v for k, v in manifest.items() if k != "schema_version"})}
+    named |= {f"masks/{name}" for name in mask_files}
+    on_disk = {p.relative_to(out).as_posix() for p in out.rglob("*") if p.is_file()}
+    assert on_disk == named
+
+
+def _waypoint_legs(out):
+    """The refined and the initial waypoints of each leg, read from
+    ``waypoints.jsonl``, in stage order."""
+    recs = [json.loads(line) for line in (out / "waypoints.jsonl").read_text().splitlines()]
+    legs = {}
+    for rec in recs:
+        assert set(rec) == {"stage", "x_m", "y_m", "z_m", "initial_x_m", "initial_y_m",
+                            "initial_z_m"}
+        legs.setdefault(rec["stage"], []).append(rec)
+    assert list(legs) == [s.value for s in Stage]
+    return [(np.array([[r[k] for k in ("x_m", "y_m", "z_m")] for r in leg]),
+             np.array([[r[k] for k in ("initial_x_m", "initial_y_m", "initial_z_m")]
+                       for r in leg]))
+            for leg in legs.values()]
+
+
+def test_waypoints_file_holds_both_plans_bit_for_bit(sink_bundle, tmp_path):
+    out = tmp_path / "bundle"
+    write_bundle(sink_bundle, out)
+    legs = _waypoint_legs(out)
+    for (refined, initial), sub0, sub1 in zip(legs, sink_bundle.initial.subs,
+                                              sink_bundle.optimized.subs):
+        assert refined.tobytes() == sub1.points.tobytes()
+        assert initial.tobytes() == sub0.points.tobytes()
+
+    # the path speeds come from the file: the legs joined, each junction once
+    joined = np.concatenate([legs[0][0]] + [refined[1:] for refined, _ in legs[1:]])
+    chords = np.linalg.norm(np.diff(joined, axis=0), axis=1)
+    want = np.linalg.norm(np.diff(sink_bundle.optimized.waypoints(), axis=0), axis=1)
+    assert chords.tobytes() == want.tobytes()
+    metrics = json.loads((out / "metrics.json").read_text())
+    assert float(np.sum(chords)) == metrics["arc_length_optimized_m"]
+
+    # criterion 6's turn-backs, from the file alone
+    for refined, _ in legs:
+        d = np.diff(refined, axis=0)
+        assert int((np.sum(d[:-1] * d[1:], axis=1) < 0).sum()) == 0
+
+
+def test_bundle_schema_2_keeps_scenario_schema_1(sink_bundle, tmp_path):
+    d = scenario_to_dict(sink_scenario())
+    assert d["schema_version"] == pipeline.SCHEMA_VERSION == 1
+    path = tmp_path / "v1.json"
+    path.write_text(json.dumps(d))
+    assert scenario_to_dict(load_scenario(path)) == d
+    out = tmp_path / "bundle"
+    write_bundle(sink_bundle, out)
+    assert json.loads((out / "scenario.json").read_text())["schema_version"] == 1
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["schema_version"] == pipeline.BUNDLE_SCHEMA_VERSION == 2
+
+
+@pytest.mark.parametrize("name", ["effector start", "grasp point", "place target"])
+def test_build_grid_rejects_buried_keypoints(name):
+    s = empty_scenario()
+    s = replace(s, spec=replace(s.spec, grasp_offset=(0.0, 0.0, 2.0)))
+    p = {"effector start": s.spec.effector_start, "grasp point": s.spec.grasp_point(),
+         "place target": s.spec.place_target}[name]
+    # a small box around the center of the cell the keypoint lands in
+    grid, _ = pipeline.build_grid(s)
+    center = grid.grid_to_world(grid.world_to_grid(p))
+    spec = replace(s.spec, primitives=(Box(tuple(center - 0.01), tuple(center + 0.01)),))
+    with pytest.raises(KeypointOccupied, match=f"^{name} at "):
+        pipeline.build_grid(replace(s, spec=spec))
 
 
 def test_initial_trajectory_matches_serialized_initial(sink_bundle, tmp_path):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from voxpick.errors import KeypointOccupied, OutOfBounds, ParseError
+from voxpick.errors import OutOfBounds, ParseError
 from voxpick.scene import (
     Box,
     GridBounds,
@@ -196,12 +196,6 @@ def test_synth_scene_voxelizes_centers():
     grid = synth_scene(spec, (3, 3, 3), GridBounds((0, 0, 0), 1.0))
     assert grid.occupied[:, :, 0].all()
     assert not grid.occupied[:, :, 1:].any()
-
-
-def test_synth_scene_rejects_buried_keypoints():
-    spec = _spec(primitives=(Box((2.0, 0.0, 2.0), (3.0, 1.0, 3.0)),))
-    with pytest.raises(KeypointOccupied):
-        synth_scene(spec, (3, 3, 3), GridBounds((0, 0, 0), 1.0))
 
 
 def test_grasp_point_offset():

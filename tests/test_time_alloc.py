@@ -17,7 +17,6 @@ from voxpick.time_alloc import (
     arc_length,
     reallocate,
     resample,
-    speed_profile_csv_rows,
 )
 
 
@@ -142,9 +141,3 @@ def test_reallocate_junctions_belong_to_the_later_stage():
     assert STAGE_GRIPPER[timed.stages[n1 + n2]] is GripperState.OPEN
     closed = [k for k, s in enumerate(timed.stages) if STAGE_GRIPPER[s] is GripperState.CLOSED]
     assert closed[0] == n1
-
-
-def test_speed_profile_csv_rows_pads_ragged_tails():
-    rows = speed_profile_csv_rows(np.array([1.0, 2.0]), np.array([3.0]))
-    assert rows[0] == (0, repr(1.0), repr(3.0))
-    assert rows[1] == (1, repr(2.0), "")
