@@ -7,7 +7,7 @@ summarizes a bundle as tables/CSV, ``masks`` re-renders guidance masks
 from a bundle, and ``check`` runs the oracle self-test harness.
 
 Exit codes: 0 ok, 2 parse/input, 3 no path, 4 optimizer non-finite,
-5 render, 6 oracle mismatch. Every failure line starts with
+6 oracle mismatch. Every failure line starts with
 ``error:<stage>:<code>``.
 """
 
@@ -29,7 +29,6 @@ from .pipeline import (
     _finite,
     _non_negative_int,
     load_scenario,
-    mask_actors,
     run,
     save_scenario,
     write_bundle,
@@ -124,7 +123,7 @@ def report_tables(bundle_dir: str) -> dict:
     try:
         losses = metrics["losses"]
         loss_rows = [
-            (phase, [losses[phase][c] for c in LOSS_COLUMNS])
+            (phase, [_finite(losses[phase][c], c) for c in LOSS_COLUMNS])
             for phase in ("before", "after")
         ]
         clearance_rows = []
@@ -134,7 +133,7 @@ def report_tables(bundle_dir: str) -> dict:
                 clearance_rows.append(
                     (phase, stage, [_finite(stats[c], c) for c in CLEARANCE_COLUMNS])
                 )
-        arc_lengths = [(k, metrics[k]) for k in ARC_LENGTH_KEYS]
+        arc_lengths = [(k, _finite(metrics[k], k)) for k in ARC_LENGTH_KEYS]
         band = _finite(metrics["clearance_band_m"], "clearance_band_m")
     except (KeyError, TypeError, ParseError) as e:
         raise CorruptBundle(f"metrics.json: missing or malformed entry: {e}") from e
@@ -180,9 +179,10 @@ def _timed_from_bundle(bundle_dir: str, name: str) -> TimedTrajectory:
     path = os.path.join(bundle_dir, name)
     positions, stages = [], []
     try:
-        with open(path, "r", encoding="ascii") as fh:
+        with open(path, "rb") as fh:
             for line_no, line in enumerate(fh):
-                rec = json.loads(line)
+                # decoded here, not by the file, so a bad byte names its line
+                rec = json.loads(line.decode("ascii"))
                 stage = Stage(rec["stage"])
                 if _non_negative_int(rec["frame"], "frame") != line_no:
                     raise ValueError(f"frame {rec['frame']!r}, expected {line_no}")
@@ -207,7 +207,11 @@ def _timed_from_bundle(bundle_dir: str, name: str) -> TimedTrajectory:
 def cmd_masks(args) -> int:
     scenario = load_scenario(os.path.join(args.bundle, "scenario.json"))
     timed = _timed_from_bundle(args.bundle, "trajectory_optimized.jsonl")
-    masks = render_guidance_masks(timed, *mask_actors(scenario, timed), scenario.camera)
+    spec = scenario.spec
+    masks = render_guidance_masks(
+        timed, spec.grasp_point(), spec.place_target,
+        scenario.object_radius, scenario.gripper_radius, scenario.camera,
+    )
     os.makedirs(args.out, exist_ok=True)
     for k, m in enumerate(masks):
         write_pgm(os.path.join(args.out, f"frame_{k:04d}.pgm"), m.image)
@@ -216,7 +220,7 @@ def cmd_masks(args) -> int:
 
 
 def cmd_check(args) -> int:
-    results = run_checks(corrupt_gradient=args.corrupt_gradient)
+    results = run_checks()
     failed = [r for r in results if not r.ok]
     for r in results:
         status = "pass" if r.ok else "FAIL"
@@ -258,12 +262,6 @@ def build_parser() -> argparse.ArgumentParser:
     mp.set_defaults(func=cmd_masks)
 
     cp = sub.add_parser("check", help="run the oracle self-test harness")
-    cp.add_argument(
-        "--corrupt-gradient",
-        choices=["loss_length", "loss_acc", "loss_curv", "loss_col"],
-        default=None,
-        help="fault-injection hook: break one analytic gradient",
-    )
     cp.set_defaults(func=cmd_check)
     return p
 

@@ -85,12 +85,6 @@ class DegeneratePath(VoxpickError):
     exit_code = 2
 
 
-class DimensionMismatch(VoxpickError):
-    stage = "render"
-    code = "dimension-mismatch"
-    exit_code = 5
-
-
 class CorruptBundle(VoxpickError):
     stage = "report"
     code = "corrupt-bundle"

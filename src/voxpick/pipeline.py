@@ -22,13 +22,12 @@ import numpy as np
 from . import scene as scene_mod
 from .distance_field import DistanceField, clearance_band, compute_edt
 from .errors import KeypointOccupied, ParseError, VoxpickError, tag_stage
-from .grid_planner import Stage, Trajectory, plan_three_stage
+from .grid_planner import Trajectory, plan_three_stage
 from .optimizer import LossReport, PlannerConfig, optimize_trajectory
 from .projection import (
     CameraModel,
     GuidanceMask,
     PALETTE,
-    SphereActor,
     render_guidance_masks,
     write_pgm,
 )
@@ -144,31 +143,6 @@ def build_grid(scenario: Scenario) -> Tuple[OccupancyGrid, int]:
     return grid, outside
 
 
-def actor_frames(
-    timed: TimedTrajectory, object_position, place_target
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Per-frame sphere centers: the gripper follows the trajectory; the
-    object rests at ``object_position`` during approach, rides with the
-    gripper during manipulate and rests at ``place_target`` during
-    back_idle."""
-    gripper = timed.positions
-    obj = gripper.copy()
-    obj[[s is Stage.APPROACH for s in timed.stages]] = object_position
-    obj[[s is Stage.BACK_IDLE for s in timed.stages]] = place_target
-    return obj, gripper
-
-
-def mask_actors(scenario: Scenario, timed: TimedTrajectory) -> Tuple[SphereActor, SphereActor]:
-    """The object and gripper spheres that the guidance masks draw."""
-    obj_frames, grip_frames = actor_frames(
-        timed, scenario.spec.grasp_point(), scenario.spec.place_target
-    )
-    return (
-        SphereActor(scenario.object_radius, obj_frames),
-        SphereActor(scenario.gripper_radius, grip_frames),
-    )
-
-
 def _invariant(ok: bool, stage: str, message: str) -> None:
     """A runtime invariant that, unlike ``assert``, survives ``python -O``."""
     if not ok:
@@ -216,12 +190,10 @@ def run(scenario: Scenario) -> RunBundle:
         f"differ from total_frames {scenario.total_frames}",
     )
 
-    try:
-        masks = render_guidance_masks(
-            timed_optimized, *mask_actors(scenario, timed_optimized), scenario.camera
-        )
-    except VoxpickError as e:
-        raise tag_stage(e, "render")
+    masks = render_guidance_masks(
+        timed_optimized, spec.grasp_point(), spec.place_target,
+        scenario.object_radius, scenario.gripper_radius, scenario.camera,
+    )
     _invariant(
         len(masks) == scenario.total_frames,
         "render",

@@ -1,12 +1,12 @@
-"""Sphere abstraction, pinhole projection, and guidance-mask rendering.
+"""Pinhole projection and guidance-mask rendering.
 
-The object and gripper are spheres; each frame they project to circles
-(u, v, r_px) with r_px = fx * R / Z, the small-circle pinhole
-approximation (error < 0.6% beyond Z = 10R). Masks are 8-bit label
-images: 0 background, 128 object, 200 open gripper, 255 closed gripper;
-the gripper overlays the object on overlap. Frame 0 stays all background
-and carries a keep-first-frame flag for the downstream conditioning
-consumer.
+The object and gripper are spheres placed per frame by ``actor_frames``;
+each frame they project to circles (u, v, r_px) with r_px = fx * R / Z,
+the small-circle pinhole approximation (error < 0.6% beyond Z = 10R).
+Masks are 8-bit label images: 0 background, 128 object, 200 open
+gripper, 255 closed gripper; the gripper overlays the object on overlap.
+Frame 0 stays all background and carries a keep-first-frame flag for the
+downstream conditioning consumer.
 
 Raster contract: a pixel is filled when its center (index + 0.5) is
 inside or on the circle, ``(x - u)**2 + (y - v)**2 <= r*r`` in float64.
@@ -21,7 +21,7 @@ from typing import List, Tuple
 
 import numpy as np
 
-from .errors import DimensionMismatch
+from .grid_planner import Stage
 from .time_alloc import STAGE_GRIPPER, GripperState, TimedTrajectory
 
 PALETTE = {
@@ -84,19 +84,6 @@ def look_at(eye, target, up=(0.0, 0.0, 1.0)) -> Tuple[np.ndarray, np.ndarray]:
 
 
 @dataclass(frozen=True)
-class SphereActor:
-    radius: float  # meters; object: longer bounding-box edge, gripper: fixed
-    centers: np.ndarray  # (n_frames, 3) world meters
-
-    def __post_init__(self):
-        if self.radius <= 0:
-            raise ValueError(f"sphere radius must be positive: {self.radius}")
-        c = np.asarray(self.centers, dtype=np.float64).reshape(-1, 3)
-        c.setflags(write=False)
-        object.__setattr__(self, "centers", c)
-
-
-@dataclass(frozen=True)
 class GuidanceMask:
     image: np.ndarray  # (height, width) uint8, palette values only
     keep_first_frame: bool = False
@@ -141,34 +128,46 @@ def rasterize_circle(mask: np.ndarray, circle, value: int) -> None:
     mask[rs, cs][inside] = value
 
 
+def actor_frames(
+    timed: TimedTrajectory, object_position, place_target
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Per-frame sphere centers: the gripper follows the trajectory; the
+    object rests at ``object_position`` during approach, rides with the
+    gripper during manipulate and rests at ``place_target`` during
+    back_idle."""
+    gripper = timed.positions
+    obj = gripper.copy()
+    obj[[s is Stage.APPROACH for s in timed.stages]] = object_position
+    obj[[s is Stage.BACK_IDLE for s in timed.stages]] = place_target
+    return obj, gripper
+
+
 def render_guidance_masks(
     timed: TimedTrajectory,
-    obj: SphereActor,
-    gripper: SphereActor,
+    grasp_point,
+    place_target,
+    object_radius: float,
+    gripper_radius: float,
     cam: CameraModel,
 ) -> List[GuidanceMask]:
-    """Per-frame label images: object circle first, gripper overlaid on
-    top with the open/closed palette value; frame 0 all background with
-    the keep flag set."""
-    n = timed.n_frames
-    if len(obj.centers) != n or len(gripper.centers) != n:
-        raise DimensionMismatch(
-            f"actor frames (object {len(obj.centers)}, gripper {len(gripper.centers)}) "
-            f"!= trajectory frames ({n})"
-        )
+    """Per-frame label images of the ``actor_frames`` spheres, the object
+    resting at ``grasp_point`` before the pick: object circle first,
+    gripper overlaid on top with the open/closed palette value; frame 0
+    all background with the keep flag set."""
+    obj_frames, grip_frames = actor_frames(timed, grasp_point, place_target)
     masks: List[GuidanceMask] = []
-    for k in range(n):
+    for k in range(timed.n_frames):
         img = np.zeros((cam.height, cam.width), dtype=np.uint8)
         if k == 0:
             masks.append(GuidanceMask(image=img, keep_first_frame=True))
             continue
-        rasterize_circle(img, project_sphere(cam, obj.centers[k], obj.radius), PALETTE["object"])
+        rasterize_circle(img, project_sphere(cam, obj_frames[k], object_radius), PALETTE["object"])
         gval = (
             PALETTE["gripper_closed"]
             if STAGE_GRIPPER[timed.stages[k]] is GripperState.CLOSED
             else PALETTE["gripper_open"]
         )
-        rasterize_circle(img, project_sphere(cam, gripper.centers[k], gripper.radius), gval)
+        rasterize_circle(img, project_sphere(cam, grip_frames[k], gripper_radius), gval)
         masks.append(GuidanceMask(image=img))
     return masks
 

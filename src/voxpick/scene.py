@@ -38,7 +38,7 @@ class GridBounds:
 
     def __post_init__(self):
         if not (self.voxel_size > 0 and np.isfinite(self.voxel_size)):
-            raise DegenerateBounds(f"voxel_size must be positive, got {self.voxel_size}")
+            raise ParseError(f"grid.voxel_size_m must be positive, got {self.voxel_size}")
         if not np.isfinite(np.asarray(self.min_corner, dtype=np.float64)).all():
             raise DegenerateBounds(f"min_corner must be finite, got {self.min_corner}")
         object.__setattr__(self, "min_corner", tuple(float(c) for c in self.min_corner))
@@ -121,14 +121,15 @@ class Sphere:
 
     def contains(self, p: np.ndarray) -> np.ndarray:
         d = p - np.asarray(self.center_m)
-        return np.einsum("...k,...k->...", d, d) <= self.radius_m**2
+        # r * r goes to inf where r**2 would raise OverflowError
+        return np.einsum("...k,...k->...", d, d) <= self.radius_m * self.radius_m
 
     def mark(self, occ: np.ndarray, axes) -> None:
         """As ``Box.mark``, with ``contains`` run only inside the sphere's
         bounding window: the centers whose squared offset along each axis
         alone is within r^2. A sum of squares is at least each of its
         terms, in floats too, so no center outside the window is inside."""
-        r2 = self.radius_m**2
+        r2 = self.radius_m * self.radius_m
         window = [(a - c) * (a - c) <= r2 for a, c in zip(axes, self.center_m)]
         sub = np.meshgrid(*(a[w] for a, w in zip(axes, window)), indexing="ij")
         occ[np.ix_(*window)] |= self.contains(np.stack(sub, axis=-1))

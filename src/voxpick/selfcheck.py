@@ -7,11 +7,10 @@ suite's acceptance module runs the same checks through pytest.
 
 from __future__ import annotations
 
-import contextlib
 import math
 import time
 from dataclasses import dataclass
-from typing import Iterator, List, Optional
+from typing import List
 
 import numpy as np
 
@@ -28,8 +27,8 @@ from .oracles import (
     iou,
     ray_sphere_mask,
 )
-from .pipeline import actor_frames, run
-from .projection import BEHIND, CameraModel, PALETTE, project_sphere
+from .pipeline import run
+from .projection import BEHIND, CameraModel, PALETTE, actor_frames, project_sphere
 from .scene import GridBounds, OccupancyGrid
 from .templates import sink_scenario
 from .time_alloc import STAGE_GRIPPER, GripperState, arc_length, sine_fit
@@ -302,50 +301,27 @@ def check_mask_contract(bundle) -> str:
     return f"{len(masks)} frames match the per-pixel oracle; palette closed"
 
 
-@contextlib.contextmanager
-def corrupted_gradient(name: str) -> Iterator[None]:
-    """Within the block, ``voxpick.losses.<name>`` returns its analytic
-    gradient with 1.0 added to the first component, so the gradient check
-    must fail. Callers that imported the loss by name (the optimizer) keep
-    the original."""
-    original = getattr(losses, name)
-
-    def corrupted(*args, **kwargs):
-        value, grad = original(*args, **kwargs)
-        grad = grad.copy()
-        grad.flat[0] += 1.0
-        return value, grad
-
-    setattr(losses, name, corrupted)
-    try:
-        yield
-    finally:
-        setattr(losses, name, original)
-
-
-def run_checks(corrupt_gradient: Optional[str] = None) -> List[CheckResult]:
-    """Run acceptance checks 1-8; ``corrupt_gradient`` names a loss whose
-    analytic gradient is deliberately broken (see ``corrupted_gradient``)."""
-    with corrupted_gradient(corrupt_gradient) if corrupt_gradient else contextlib.nullcontext():
-        bundle = run(sink_scenario())
-        checks: List[tuple] = [
-            ("edt-exactness", check_edt_exactness),
-            ("astar-optimality", check_astar_optimality),
-            ("gradient-correctness", check_gradients),
-            ("circle-curvature", check_circle_curvature),
-            ("sink-avoidance", lambda: check_sink_avoidance(bundle)),
-            ("velocity-profile", lambda: check_velocity_profile(bundle)),
-            ("projection-fidelity", check_projection_fidelity),
-            ("mask-contract", lambda: check_mask_contract(bundle)),
-        ]
-        results = []
-        for name, fn in checks:
-            t0 = time.perf_counter()
-            try:
-                detail = fn()
-                ok = True
-            except AssertionError as e:
-                detail = str(e)
-                ok = False
-            results.append(CheckResult(name, ok, detail, time.perf_counter() - t0))
-        return results
+def run_checks() -> List[CheckResult]:
+    """Run acceptance checks 1-8."""
+    bundle = run(sink_scenario())
+    checks: List[tuple] = [
+        ("edt-exactness", check_edt_exactness),
+        ("astar-optimality", check_astar_optimality),
+        ("gradient-correctness", check_gradients),
+        ("circle-curvature", check_circle_curvature),
+        ("sink-avoidance", lambda: check_sink_avoidance(bundle)),
+        ("velocity-profile", lambda: check_velocity_profile(bundle)),
+        ("projection-fidelity", check_projection_fidelity),
+        ("mask-contract", lambda: check_mask_contract(bundle)),
+    ]
+    results = []
+    for name, fn in checks:
+        t0 = time.perf_counter()
+        try:
+            detail = fn()
+            ok = True
+        except AssertionError as e:
+            detail = str(e)
+            ok = False
+        results.append(CheckResult(name, ok, detail, time.perf_counter() - t0))
+    return results

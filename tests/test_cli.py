@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import voxpick
+from voxpick import losses
 from voxpick.cli import main, report_tables
 from voxpick.pipeline import load_scenario, scenario_to_dict
 from voxpick.projection import read_pgm
@@ -230,6 +231,22 @@ def test_inconsistent_trajectory_is_a_corrupt_bundle(planned, tmp_path, capsys, 
     assert len(lines) == 1 and lines[0].startswith("error:report:corrupt-bundle:"), lines
 
 
+@pytest.mark.parametrize("command", ["report", "masks"])
+def test_a_non_ascii_trajectory_byte_is_a_corrupt_bundle(planned, tmp_path, capsys, command):
+    _, bundle = planned
+    tampered = tmp_path / "tampered"
+    shutil.copytree(bundle, tampered)
+    path = tampered / "trajectory_optimized.jsonl"
+    path.write_bytes(b"\xff" + path.read_bytes())
+    out = ["--out", str(tmp_path / "masks")] if command == "masks" else []
+    rc = main([command, str(tampered)] + out)
+    err = capsys.readouterr().err
+    lines = err.splitlines()
+    assert rc == 2
+    assert len(lines) == 1 and lines[0].startswith("error:report:corrupt-bundle:"), err
+    assert f"{path} line 1:" in lines[0]
+
+
 @pytest.fixture(scope="module")
 def trajectory_bundle(planned, tmp_path_factory):
     """The bundle files that ``report`` and ``masks`` read, without the masks."""
@@ -293,10 +310,15 @@ def test_one_edited_record_field_is_ok_or_a_corrupt_bundle(trajectory_bundle, tm
         ("metrics.json", lambda m: {k: v for k, v in m.items() if k != "clearance_band_m"},
          True),
         ("metrics.json", lambda m: dict(m, clearance_band_m="2.2"), True),
+        ("metrics.json",
+         lambda m: dict(m, losses=dict(m["losses"], after=dict(m["losses"]["after"], col="x"))),
+         True),
+        ("metrics.json", lambda m: dict(m, arc_length_initial_m=None), True),
         ("manifest.json", lambda m: [], False),
         ("manifest.json", lambda m: {"metrics": 5}, False),
     ],
     ids=["metrics-without-timed-arc", "losses-a-list", "metrics-without-band", "band-a-string",
+         "loss-term-a-string", "arc-length-null",
          "manifest-a-list", "manifest-metrics-5"],
 )
 def test_report_reads_metrics_by_name(planned, tmp_path, capsys, name, edit, corrupt):
@@ -395,6 +417,13 @@ def test_plan_rejects_bad_actor_radius(planned, tmp_path, capsys, key, value):
     rc = _plan_edited(planned, tmp_path, lambda d: d["actors"].update({key: value}))
     assert rc == 2
     _assert_one_parse_error(capsys, f"actors.{key}")
+
+
+@pytest.mark.parametrize("value", [0, -0.2])
+def test_plan_rejects_a_non_positive_voxel_size(planned, tmp_path, capsys, value):
+    rc = _plan_edited(planned, tmp_path, lambda d: d["grid"].update(voxel_size_m=value))
+    assert rc == 2
+    _assert_one_parse_error(capsys, "grid.voxel_size_m")
 
 
 @pytest.mark.parametrize(
@@ -532,6 +561,7 @@ def _set(section, key, value):
         _add_primitive({"type": "box", "min_m": [0.0, 0.0, 0.0], "max_m": "abc"}),
         _add_primitive({"type": "sphere", "center_m": "abc", "radius_m": 1.0}),
         _add_primitive({"type": "sphere", "center_m": [1.0, 1.0, 1.0], "radius_m": -1.0}),
+        _add_primitive({"type": "sphere", "center_m": [1.0, 1.0, 1.0], "radius_m": 1e308}),
         _set(None, "planner", []),
         _set(None, "scene", []),
         _set(None, "frames", "sine"),
@@ -580,6 +610,7 @@ def _set(section, key, value):
         "place-target-string", "grasp-offset-2-numbers", "dims-0", "dims-2-numbers",
         "plane-axis-3", "plane-axis-1.7", "plane-side-up", "plane-offset-nan",
         "box-2-element-corner", "box-corner-string", "sphere-center-string", "sphere-radius-neg",
+        "sphere-radius-1e308",
         "planner-a-list", "scene-a-list", "frames-a-string", "w-len-string", "w-acc-true",
         "w-curv-string", "w-col-huge-int", "d-safe-string", "learning-rate-true",
         "eps-curv-string", "voxel-size-string", "fx-string", "fy-true", "cx-string",
@@ -600,8 +631,17 @@ def test_plan_rejects_bad_camera_keypoints_and_primitives(planned, tmp_path, cap
     assert len(lines) == 1 and lines[0].startswith("error:"), lines
 
 
-def test_check_detects_injected_gradient_fault(capsys):
-    rc = main(["check", "--corrupt-gradient", "loss_acc"])
+def test_check_detects_injected_gradient_fault(monkeypatch, capsys):
+    original = losses.loss_acc
+
+    def off_by_one(*args, **kwargs):
+        value, grad = original(*args, **kwargs)
+        grad = grad.copy()
+        grad.flat[0] += 1.0
+        return value, grad
+
+    monkeypatch.setattr(losses, "loss_acc", off_by_one)
+    rc = main(["check"])
     captured = capsys.readouterr()
     assert rc == 6
     assert "FAIL gradient-correctness" in captured.out

@@ -13,7 +13,6 @@ from voxpick import losses
 from voxpick.distance_field import clearance_band, compute_edt
 from voxpick.oracles import finite_difference_gradient, gradient_max_rel_error
 from voxpick.scene import GridBounds, OccupancyGrid
-from voxpick.selfcheck import corrupted_gradient
 
 
 def _line(n=10, step=0.5):
@@ -118,15 +117,3 @@ def test_collision_gradient_matches_finite_differences(rng):
         lambda Q: losses.loss_col(Q, fld, 0.4)[0], P, h=grid.voxel_size / 200.0
     )
     assert gradient_max_rel_error(grad, num) < 1e-3
-
-
-def test_fault_hook_perturbs_exactly_one_component():
-    P = _line(6, 0.5)
-    original = losses.loss_length
-    _, clean = losses.loss_length(P)
-    with corrupted_gradient("loss_length"):
-        _, dirty = losses.loss_length(P)
-    assert losses.loss_length is original
-    delta = dirty - clean
-    assert delta.flat[0] == pytest.approx(1.0)
-    assert np.count_nonzero(delta) == 1

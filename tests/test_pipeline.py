@@ -21,7 +21,6 @@ from voxpick.grid_planner import Stage, SubTrajectory, Trajectory, plan_three_st
 from voxpick.optimizer import PlannerConfig, optimize_trajectory
 from voxpick.pipeline import (
     Scenario,
-    actor_frames,
     load_scenario,
     run,
     save_scenario,
@@ -29,7 +28,7 @@ from voxpick.pipeline import (
     scenario_to_dict,
     write_bundle,
 )
-from voxpick.projection import PALETTE, CameraModel, read_pgm
+from voxpick.projection import PALETTE, CameraModel, actor_frames, read_pgm
 from voxpick.scene import Box, GridBounds, SceneSpec
 from voxpick.templates import TEMPLATES, empty_scenario, make_template, sink_scenario
 
