@@ -21,18 +21,6 @@ class ParseError(VoxpickError):
     exit_code = 2
 
 
-class IoError(VoxpickError):
-    stage = "parse"
-    code = "io"
-    exit_code = 2
-
-
-class DegenerateBounds(VoxpickError):
-    stage = "scene"
-    code = "degenerate-bounds"
-    exit_code = 2
-
-
 class KeypointOccupied(VoxpickError):
     stage = "scene"
     code = "keypoint-occupied"
@@ -48,18 +36,6 @@ class OutOfBounds(VoxpickError):
 class NoPath(VoxpickError):
     stage = "plan"
     code = "no-path"
-    exit_code = 3
-
-
-class StartOccupied(VoxpickError):
-    stage = "plan"
-    code = "start-occupied"
-    exit_code = 3
-
-
-class GoalOccupied(VoxpickError):
-    stage = "plan"
-    code = "goal-occupied"
     exit_code = 3
 
 
@@ -95,9 +71,3 @@ class OracleMismatch(VoxpickError):
     stage = "check"
     code = "oracle-mismatch"
     exit_code = 6
-
-
-def tag_stage(exc: VoxpickError, stage: str) -> VoxpickError:
-    """Re-tag an error with the pipeline stage it surfaced in."""
-    exc.stage = stage
-    return exc

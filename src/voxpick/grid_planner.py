@@ -37,7 +37,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .errors import GoalOccupied, NoPath, StartOccupied, VoxpickError, tag_stage
+from .errors import NoPath
 from .scene import OccupancyGrid
 
 
@@ -172,13 +172,15 @@ def _hop_bound(padded: np.ndarray, s: int, t: int):
 
 
 def _astar_cells(free: np.ndarray, start, goal):
-    """Deterministic A* over the free mask between two free cells; returns
-    the cell path and its cost, or ``(None, inf)``. Layout, tie-breaks and
-    the hop bound as in the module docstring: cell (x, y, z) is the int
-    ``(x+1)*sx + (y+1)*pz + (z+1)``.
+    """Deterministic A* over the free mask; returns the cell path and its
+    cost, or ``(None, inf)``, also when either end is blocked. Layout,
+    tie-breaks and the hop bound as in the module docstring: cell (x, y, z)
+    is the int ``(x+1)*sx + (y+1)*pz + (z+1)``.
     """
     start = tuple(int(v) for v in start)
     goal = tuple(int(v) for v in goal)
+    if not (free[start] and free[goal]):
+        return None, inf
     if start == goal:
         return [start], 0.0
 
@@ -264,13 +266,10 @@ def plan_segment(
     clearance_voxels: int = 1,
     stage: Stage = Stage.APPROACH,
 ) -> SubTrajectory:
-    """Minimal-cost 26-connected path between two cells, as voxel centers."""
+    """Minimal-cost 26-connected path between two cells, as voxel centers;
+    ``NoPath`` also when either cell is occupied."""
     start = tuple(int(v) for v in start)
     goal = tuple(int(v) for v in goal)
-    if not grid.is_free(start):
-        raise StartOccupied(f"start cell {start} is occupied")
-    if not grid.is_free(goal):
-        raise GoalOccupied(f"goal cell {goal} is occupied")
 
     clearance = int(clearance_voxels)
     free = ~dilate_chebyshev(grid.occupied, clearance)
@@ -279,7 +278,7 @@ def plan_segment(
         free = ~grid.occupied
     cells, cost = _astar_cells(free, start, goal)
     if cells is None:
-        raise NoPath(f"no path from {start} to {goal} at clearance {clearance}")
+        raise NoPath(f"{stage.value}: no path from {start} to {goal} at clearance {clearance}")
     points = np.asarray([grid.grid_to_world(c) for c in cells], dtype=np.float64)
     return SubTrajectory(
         stage=stage, points=points, cost=float(cost * grid.voxel_size), clearance_used=clearance
@@ -308,10 +307,7 @@ def plan_three_stage(
     )
     subs = []
     for stage, c0, c1, p0, p1 in legs:
-        try:
-            sub = plan_segment(grid, c0, c1, clearance_voxels, stage=stage)
-        except VoxpickError as e:
-            raise tag_stage(type(e)(f"{stage.value}: {e}"), "plan") from e
+        sub = plan_segment(grid, c0, c1, clearance_voxels, stage=stage)
         pts = np.array(sub.points)
         if len(pts) == 1 and not np.array_equal(p0, p1):
             pts = np.stack([p0, p1])  # distinct keypoints sharing one cell

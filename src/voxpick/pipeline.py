@@ -21,7 +21,7 @@ import numpy as np
 
 from . import scene as scene_mod
 from .distance_field import DistanceField, clearance_band, compute_edt
-from .errors import KeypointOccupied, ParseError, VoxpickError, tag_stage
+from .errors import KeypointOccupied, ParseError, VoxpickError
 from .grid_planner import Trajectory, plan_three_stage
 from .optimizer import LossReport, PlannerConfig, optimize_trajectory
 from .projection import (
@@ -33,6 +33,7 @@ from .projection import (
 )
 from .scene import Box, GridBounds, OccupancyGrid, Plane, SceneSpec, Sphere, Vec3
 from .time_alloc import (
+    MAX_POSITION_M,
     STAGE_GRIPPER,
     TimedTrajectory,
     VelocityProfile,
@@ -42,6 +43,7 @@ from .time_alloc import (
 
 SCHEMA_VERSION = 1  # of the scenario file
 BUNDLE_SCHEMA_VERSION = 2  # of the bundle's manifest.json
+MAX_CELLS = 2**24  # 256^3, 8 times the largest grid the benchmark plans (128^3)
 
 
 @dataclass(frozen=True)
@@ -67,22 +69,26 @@ class Scenario:
         ):
             if not (math.isfinite(r) and r > 0):
                 raise ParseError(f"{name} must be positive and finite, got {r}")
-        diagonal = math.hypot(*self.dims) * self.bounds.voxel_size
+        if math.prod(self.dims) > MAX_CELLS:
+            raise ParseError(f"grid.dims {list(self.dims)} has more than 2**24 cells")
+        voxel = self.bounds.voxel_size
+        # bounds every voxel center; a Python float product overflows to inf, silently
+        if not all(abs(lo + n * voxel) <= MAX_POSITION_M
+                   for lo, n in zip(self.bounds.min_corner, self.dims)):
+            raise ParseError(f"grid.min_corner_m + dims * voxel_size_m > {MAX_POSITION_M:g} m")
+        diagonal = math.hypot(*self.dims) * voxel
         if not self.config.d_safe <= diagonal:
             raise ParseError(
                 f"planner.d_safe_m {self.config.d_safe} exceeds the grid diagonal {diagonal} m"
             )
-        lo = np.asarray(self.bounds.min_corner)
-        hi = lo + np.asarray(self.dims) * self.bounds.voxel_size
         for name, p in (
             ("effector_start", self.spec.effector_start),
             ("object_position", self.spec.object_position),
             ("place_target", self.spec.place_target),
             ("grasp_point", self.spec.grasp_point()),
         ):
-            p = np.asarray(p)
-            if not (np.all(p >= lo) and np.all(p < hi)):  # NaN fails
-                raise ParseError(f"{name} {tuple(p.tolist())} outside grid bounds")
+            if not self.bounds.cell(p, self.dims)[1]:
+                raise ParseError(f"{name} {tuple(np.asarray(p).tolist())} outside grid bounds")
 
 
 @dataclass
@@ -146,16 +152,15 @@ def build_grid(scenario: Scenario) -> Tuple[OccupancyGrid, int]:
 def _invariant(ok: bool, stage: str, message: str) -> None:
     """A runtime invariant that, unlike ``assert``, survives ``python -O``."""
     if not ok:
-        raise tag_stage(VoxpickError(message), stage)
+        err = VoxpickError(message)
+        err.stage = stage
+        raise err
 
 
 def run(scenario: Scenario) -> RunBundle:
     """Execute the full planning chain; deterministic for a fixed
     scenario. Stage failures raise errors tagged with the failing stage."""
-    try:
-        grid, outside = build_grid(scenario)
-    except VoxpickError as e:
-        raise tag_stage(e, "scene")
+    grid, outside = build_grid(scenario)
 
     fld = compute_edt(grid, clearance_band(grid, scenario.config.d_safe))
     spec = scenario.spec
@@ -244,7 +249,9 @@ def _vec3(value, name: str) -> tuple:
     if not isinstance(value, (list, tuple)) or len(value) != 3:
         raise ParseError(f"{name} must be a list of 3 numbers, got {value!r}")
     for v in value:
-        _finite(v, name)
+        # under the bound, sums and squares of coordinates stay finite
+        if not abs(_finite(v, name)) <= MAX_POSITION_M:
+            raise ParseError(f"{name} must lie within {MAX_POSITION_M:g} m, got {v!r}")
     return tuple(value)  # as written, so scenario.json echoes the file
 
 

@@ -12,7 +12,7 @@ from typing import Optional, Tuple, Union
 
 import numpy as np
 
-from .errors import DegenerateBounds, IoError, OutOfBounds, ParseError
+from .errors import OutOfBounds, ParseError
 
 Vec3 = Tuple[float, float, float]
 
@@ -40,8 +40,17 @@ class GridBounds:
         if not (self.voxel_size > 0 and np.isfinite(self.voxel_size)):
             raise ParseError(f"grid.voxel_size_m must be positive, got {self.voxel_size}")
         if not np.isfinite(np.asarray(self.min_corner, dtype=np.float64)).all():
-            raise DegenerateBounds(f"min_corner must be finite, got {self.min_corner}")
+            raise ParseError(f"grid.min_corner_m must be finite, got {self.min_corner}")
         object.__setattr__(self, "min_corner", tuple(float(c) for c in self.min_corner))
+
+    def cell(self, p, dims):
+        """The half-open cell of each world point in ``p`` (shape ``(..., 3)``),
+        floor((p - min_corner) / voxel_size) as floats, and whether it lies in
+        a grid of ``dims`` cells. The test runs on the floats, so NaN, an
+        infinity or an index too large for an int is outside, with no warning."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            q = np.floor((np.asarray(p, dtype=np.float64) - self.min_corner) / self.voxel_size)
+        return q, np.all((q >= 0) & (q < np.asarray(dims)), axis=-1)
 
 
 @dataclass(frozen=True)
@@ -53,7 +62,7 @@ class OccupancyGrid:
     def __post_init__(self):
         occ = np.asarray(self.occupied, dtype=bool)
         if occ.shape != tuple(self.dims):
-            raise DegenerateBounds(f"occupancy shape {occ.shape} != dims {self.dims}")
+            raise ValueError(f"occupancy shape {occ.shape} != dims {self.dims}")
         occ.setflags(write=False)
         object.__setattr__(self, "occupied", occ)
         object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
@@ -68,11 +77,10 @@ class OccupancyGrid:
 
     def world_to_grid(self, p) -> Tuple[int, int, int]:
         """Cell index of the half-open cell containing world point ``p``."""
-        q = (np.asarray(p, dtype=np.float64) - self.min_corner) / self.voxel_size
-        c = np.floor(q).astype(np.int64)
-        if np.any(c < 0) or np.any(c >= np.asarray(self.dims)):
+        q, inside = self.bounds.cell(p, self.dims)
+        if not inside:
             raise OutOfBounds(f"point {tuple(np.asarray(p, float).tolist())} outside grid")
-        return tuple(int(v) for v in c)
+        return tuple(int(v) for v in q)
 
     def grid_to_world(self, cell) -> np.ndarray:
         """World-space center of cell ``cell``."""
@@ -190,7 +198,7 @@ def load_point_cloud(path) -> PointCloud:
         with open(path, "r", encoding="ascii", errors="strict") as fh:
             lines = fh.read().splitlines()
     except OSError as e:
-        raise IoError(f"cannot read {path}: {e}") from e
+        raise ParseError(f"cannot read {path}: {e}") from e
     except UnicodeDecodeError as e:
         raise ParseError(f"{path} is not ASCII: {e}") from e
 
@@ -265,25 +273,15 @@ def voxelize(cloud: PointCloud, dims, bounds: GridBounds):
     falls in its half-open cell; points outside the grid extent are only
     counted.
     """
-    dims = tuple(int(d) for d in dims)
-    if any(d <= 0 for d in dims):
-        raise DegenerateBounds(f"dims must be positive, got {dims}")
     occ = np.zeros(dims, dtype=bool)
-    if len(cloud) == 0:
-        return OccupancyGrid(dims, bounds, occ), 0
-    q = (cloud.points - np.asarray(bounds.min_corner)) / bounds.voxel_size
-    idx = np.floor(q).astype(np.int64)
-    inside = np.all((idx >= 0) & (idx < np.asarray(dims)), axis=1)
-    occ[idx[inside, 0], idx[inside, 1], idx[inside, 2]] = True
+    q, inside = bounds.cell(cloud.points, dims)
+    occ[tuple(q[inside].astype(np.int64).T)] = True
     return OccupancyGrid(dims, bounds, occ), int((~inside).sum())
 
 
 def synth_scene(spec: SceneSpec, dims, bounds: GridBounds) -> OccupancyGrid:
     """Voxelize parametric primitives: a voxel is occupied iff its center
     lies inside any primitive."""
-    dims = tuple(int(d) for d in dims)
-    if any(d <= 0 for d in dims):
-        raise DegenerateBounds(f"dims must be positive, got {dims}")
     axes = [
         np.asarray(bounds.min_corner)[k] + (np.arange(dims[k]) + 0.5) * bounds.voxel_size
         for k in range(3)

@@ -96,8 +96,6 @@ def allocate_counts(sub_lengths, total_frames: int) -> Tuple[int, int, int]:
     if len(lengths) != 3 or np.any(lengths < 0) or not np.any(lengths > 0):
         raise ValueError(f"need 3 non-negative lengths with one positive: {sub_lengths}")
     total_frames = int(total_frames)
-    if total_frames < 6:
-        raise InsufficientFrames(f"need at least 6 frames, got {total_frames}")
     shares = lengths / lengths.sum() * total_frames
     counts = np.floor(shares).astype(int)
     remainders = shares - counts

@@ -465,6 +465,27 @@ def test_plan_rejects_a_d_safe_beyond_the_grid_diagonal(planned, tmp_path, capsy
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("dims", [[10**7] * 3, [257, 256, 256]])
+def test_plan_refuses_a_grid_over_the_cell_cap(planned, tmp_path, capsys, dims):
+    # refused while parsing, before numpy is asked for the array
+    rc = _plan_edited(planned, tmp_path, lambda d: d["grid"].update(dims=dims))
+    assert rc == 2
+    _assert_one_parse_error(capsys, "grid.dims")
+
+
+@pytest.mark.parametrize(
+    "body",
+    [None, b"1 2 3\n4 5 \xe9\n", b"1 2 3\n4 5\n"],
+    ids=["missing", "non-ascii", "two-numbers"],
+)
+def test_plan_refuses_a_bad_cloud_file_with_one_parse_line(planned, tmp_path, capsys, body):
+    cloud = tmp_path / "cloud.xyz"
+    if body is not None:
+        cloud.write_bytes(body)
+    assert _plan_edited(planned, tmp_path, lambda d: d.update(cloud_path=str(cloud))) == 2
+    _assert_one_parse_error(capsys, str(cloud))
+
+
 def test_plan_reads_its_settings_from_the_file(planned, tmp_path):
     def edit(d):
         d["planner"]["iterations"] = 5
@@ -496,8 +517,7 @@ def _assert_one_keypoint_error(capsys, name):
 
 
 def test_an_effector_start_in_the_cloud_exits_2_as_with_primitives(planned, tmp_path, capsys):
-    # occupancy from a point cloud gets the same keypoint check as from
-    # primitives, not A*'s start-occupied (exit 3)
+    # occupancy from a point cloud gets the same keypoint check as from primitives
     def edit(d):
         cloud = tmp_path / "cloud.xyz"
         cloud.write_text(" ".join(repr(v) for v in d["scene"]["effector_start_m"]) + "\n")
@@ -562,6 +582,10 @@ def _set(section, key, value):
         _add_primitive({"type": "sphere", "center_m": "abc", "radius_m": 1.0}),
         _add_primitive({"type": "sphere", "center_m": [1.0, 1.0, 1.0], "radius_m": -1.0}),
         _add_primitive({"type": "sphere", "center_m": [1.0, 1.0, 1.0], "radius_m": 1e308}),
+        _add_primitive({"type": "sphere", "center_m": [1e300, 0.0, 0.0], "radius_m": 1e200}),
+        _add_primitive({"type": "sphere", "center_m": [1e300, 0.0, 0.0], "radius_m": 1.0}),
+        lambda d: (d["grid"].update(voxel_size_m=1e200), _add_primitive(
+            {"type": "sphere", "center_m": [1.0, 1.0, 1.0], "radius_m": 1.0})(d)),
         _set(None, "planner", []),
         _set(None, "scene", []),
         _set(None, "frames", "sine"),
@@ -610,7 +634,8 @@ def _set(section, key, value):
         "place-target-string", "grasp-offset-2-numbers", "dims-0", "dims-2-numbers",
         "plane-axis-3", "plane-axis-1.7", "plane-side-up", "plane-offset-nan",
         "box-2-element-corner", "box-corner-string", "sphere-center-string", "sphere-radius-neg",
-        "sphere-radius-1e308",
+        "sphere-radius-1e308", "sphere-center-1e300-radius-1e200", "sphere-center-1e300",
+        "voxel-size-1e200",
         "planner-a-list", "scene-a-list", "frames-a-string", "w-len-string", "w-acc-true",
         "w-curv-string", "w-col-huge-int", "d-safe-string", "learning-rate-true",
         "eps-curv-string", "voxel-size-string", "fx-string", "fy-true", "cx-string",

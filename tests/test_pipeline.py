@@ -66,6 +66,26 @@ def test_scenario_rejects_out_of_bounds_keypoints():
         scenario_from_dict(d)
 
 
+def _column_scenario(z_cells, effector_z):
+    # the empty template on a 0.1 m grid of z_cells layers, effector at effector_z
+    d = scenario_to_dict(empty_scenario())
+    d["grid"].update(dims=[64, 64, z_cells], voxel_size_m=0.1)
+    d["planner"]["d_safe_m"] = 0.2
+    d["scene"].update(effector_start_m=[3.0, 3.0, effector_z], object_position_m=[1.0, 3.0, 1.0],
+                      place_target_m=[5.0, 3.0, 1.0])
+    return d
+
+
+def test_scenario_and_grid_share_one_in_grid_rule():
+    # 1.7 < 17 * 0.1 = 1.7000000000000002, but 1.7 / 0.1 floors to cell 17
+    with pytest.raises(ParseError, match="effector_start"):
+        scenario_from_dict(_column_scenario(17, 1.7))
+    # 4.3 == 43 * 0.1, but 4.3 / 0.1 = 42.99999999999999 floors to cell 42
+    s = scenario_from_dict(_column_scenario(43, 4.3))
+    grid, _ = pipeline.build_grid(s)
+    assert grid.world_to_grid(s.spec.effector_start) == (30, 30, 42)
+
+
 def test_scenario_rejects_garbage():
     with pytest.raises(ParseError):
         scenario_from_dict({"grid": {"dims": [2, 2]}})

@@ -1,5 +1,7 @@
 """Scene ingestion: parsing, voxelization, and grid coordinate maps."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -95,9 +97,11 @@ def test_voxelize_half_open_cells():
 
 def test_voxelize_counts_outside_points():
     bounds = GridBounds((0.0, 0.0, 0.0), 1.0)
-    cloud = PointCloud(np.array([[-0.1, 0, 0], [5, 5, 5], [0.5, 0.5, 0.5]]))
-    grid, outside = voxelize(cloud, (2, 2, 2), bounds)
-    assert outside == 2
+    cloud = PointCloud(np.array([[-0.1, 0, 0], [5, 5, 5], [0.5, 0.5, 0.5], [1e300, 0, 0]]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no int cast of a cell index past int64
+        grid, outside = voxelize(cloud, (2, 2, 2), bounds)
+    assert outside == 3
     assert grid.occupied.sum() == 1
 
 
@@ -131,6 +135,15 @@ def test_world_to_grid_out_of_bounds():
     grid = OccupancyGrid((2, 2, 2), GridBounds((0, 0, 0), 1.0), np.zeros((2, 2, 2), bool))
     with pytest.raises(OutOfBounds, match=r"point \(2\.0, 0\.0, 0\.0\) outside"):
         grid.world_to_grid((2.0, 0.0, 0.0))  # exactly the upper face is outside
+
+
+@pytest.mark.parametrize("p", [(np.nan, 0.5, 0.5), (0.5, 1e20, 0.5), (0.5, 0.5, -np.inf)])
+def test_world_to_grid_refuses_nan_and_far_points_without_a_warning(p):
+    grid = OccupancyGrid((2, 2, 2), GridBounds((0, 0, 0), 1.0), np.zeros((2, 2, 2), bool))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OutOfBounds):
+            grid.world_to_grid(p)
 
 
 @pytest.mark.parametrize(
