@@ -6,7 +6,8 @@ the small-circle pinhole approximation (error < 0.6% beyond Z = 10R).
 Masks are 8-bit label images: 0 background, 128 object, 200 open
 gripper, 255 closed gripper; the gripper overlays the object on overlap.
 Frame 0 stays all background and carries a keep-first-frame flag for the
-downstream conditioning consumer.
+downstream conditioning consumer. A ``GuidanceMask`` keeps its circles and
+draws its pixels only when read, so a writer holds one frame at a time.
 
 Raster contract: a pixel is filled when its center (index + 0.5) is
 inside or on the circle, ``(x - u)**2 + (y - v)**2 <= r*r`` in float64.
@@ -50,12 +51,18 @@ class CameraModel:
         t = np.asarray(self.translation, dtype=np.float64).reshape(3)
         if not (self.width >= 1 and self.height >= 1):
             raise ValueError(f"image must be at least 1x1 px: {self.width}x{self.height}")
-        if not np.isfinite([self.fx, self.fy, self.cx, self.cy]).all():
-            raise ValueError("intrinsics must be finite")
-        # a visible sphere has Z > R, so r_px = fx R / Z < fx cannot overflow r_px**2
+        # every bound is written so that NaN and the infinities fail too.
+        # A visible sphere has Z > R, so r_px = fx R / Z < fx cannot overflow
+        # r_px**2, and a bounded cx, cy cannot by itself overflow the
+        # rasterizer's (x - u)**2
         if not (0 < self.fx <= 1e6 and 0 < self.fy <= 1e6):
             raise ValueError(f"focal lengths must be in (0, 1e6] px: fx={self.fx} fy={self.fy}")
-        # written so that a NaN norm fails too
+        if not (abs(self.cx) <= 1e6 and abs(self.cy) <= 1e6):
+            raise ValueError(f"principal point must be in [-1e6, 1e6] px: {self.cx}, {self.cy}")
+        # an orthonormal matrix has no entry beyond 1, and bounding the
+        # entries first keeps R.T @ R finite
+        if not (np.abs(R) <= 1.0).all():
+            raise ValueError("rotation entries must be in [-1, 1]")
         if not np.linalg.norm(R.T @ R - np.eye(3)) < 1e-9:
             raise ValueError("rotation is not orthonormal")
         if not np.isfinite(t).all():
@@ -85,13 +92,20 @@ def look_at(eye, target, up=(0.0, 0.0, 1.0)) -> Tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class GuidanceMask:
-    image: np.ndarray  # (height, width) uint8, palette values only
+    """One frame as drawn: its (height, width) and its (circle, palette
+    value) pairs in drawing order. ``image`` draws them on a fresh
+    background at each read, so a list of masks holds no pixels."""
+
+    shape: Tuple[int, int]
+    circles: Tuple[tuple, ...] = ()
     keep_first_frame: bool = False
 
-    def __post_init__(self):
-        img = np.asarray(self.image, dtype=np.uint8)
-        img.setflags(write=False)
-        object.__setattr__(self, "image", img)
+    @property
+    def image(self) -> np.ndarray:
+        img = np.zeros(self.shape, dtype=np.uint8)
+        for circle, value in self.circles:
+            rasterize_circle(img, circle, value)
+        return img
 
 
 def project_sphere(cam: CameraModel, center, radius_m: float):
@@ -150,25 +164,26 @@ def render_guidance_masks(
     gripper_radius: float,
     cam: CameraModel,
 ) -> List[GuidanceMask]:
-    """Per-frame label images of the ``actor_frames`` spheres, the object
+    """Per-frame masks of the ``actor_frames`` spheres, the object
     resting at ``grasp_point`` before the pick: object circle first,
     gripper overlaid on top with the open/closed palette value; frame 0
     all background with the keep flag set."""
     obj_frames, grip_frames = actor_frames(timed, grasp_point, place_target)
+    shape = (cam.height, cam.width)
     masks: List[GuidanceMask] = []
     for k in range(timed.n_frames):
-        img = np.zeros((cam.height, cam.width), dtype=np.uint8)
         if k == 0:
-            masks.append(GuidanceMask(image=img, keep_first_frame=True))
+            masks.append(GuidanceMask(shape, keep_first_frame=True))
             continue
-        rasterize_circle(img, project_sphere(cam, obj_frames[k], object_radius), PALETTE["object"])
         gval = (
             PALETTE["gripper_closed"]
             if STAGE_GRIPPER[timed.stages[k]] is GripperState.CLOSED
             else PALETTE["gripper_open"]
         )
-        rasterize_circle(img, project_sphere(cam, grip_frames[k], gripper_radius), gval)
-        masks.append(GuidanceMask(image=img))
+        masks.append(GuidanceMask(shape, (
+            (project_sphere(cam, obj_frames[k], object_radius), PALETTE["object"]),
+            (project_sphere(cam, grip_frames[k], gripper_radius), gval),
+        )))
     return masks
 
 
@@ -177,7 +192,7 @@ def write_pgm(path, image: np.ndarray) -> None:
     h, w = image.shape
     with open(path, "wb") as fh:
         fh.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
-        fh.write(np.ascontiguousarray(image, dtype=np.uint8).tobytes())
+        fh.write(np.ascontiguousarray(image, dtype=np.uint8).data)
 
 
 def read_pgm(path) -> np.ndarray:

@@ -8,7 +8,7 @@ one cell; cell centers sit at ``min + (i + 0.5)*s``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple, Union
+from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -23,8 +23,6 @@ class PointCloud:
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=np.float64).reshape(-1, 3)
-        if pts.size and not np.isfinite(pts).all():
-            raise ParseError("point cloud contains non-finite coordinates")
         object.__setattr__(self, "points", pts)
 
     def __len__(self) -> int:
@@ -207,6 +205,18 @@ def load_point_cloud(path) -> PointCloud:
     return _parse_xyz(lines, path)
 
 
+def _vertex(path, ln: int, parts, idx) -> List[float]:
+    """x, y, z from fields ``idx`` of line ``ln``: the one place a cloud
+    coordinate is parsed and checked finite, for both file formats."""
+    try:
+        xyz = [float(parts[i]) for i in idx]
+    except (IndexError, ValueError) as e:
+        raise ParseError(f"{path}:{ln}: bad vertex line: {e}") from e
+    if not np.isfinite(xyz).all():
+        raise ParseError(f"{path}:{ln}: non-finite coordinate")
+    return xyz
+
+
 def _parse_xyz(lines, path) -> PointCloud:
     pts = []
     for ln, line in enumerate(lines, start=1):
@@ -216,13 +226,7 @@ def _parse_xyz(lines, path) -> PointCloud:
         parts = s.split()
         if len(parts) < 3:
             raise ParseError(f"{path}:{ln}: expected 3 coordinates, got {len(parts)}")
-        try:
-            xyz = [float(v) for v in parts[:3]]
-        except ValueError as e:
-            raise ParseError(f"{path}:{ln}: {e}") from e
-        if not all(np.isfinite(xyz)):
-            raise ParseError(f"{path}:{ln}: non-finite coordinate")
-        pts.append(xyz)
+        pts.append(_vertex(path, ln, parts, (0, 1, 2)))
     return PointCloud(np.asarray(pts, dtype=np.float64).reshape(-1, 3))
 
 
@@ -258,11 +262,7 @@ def _parse_ply(lines, path) -> PointCloud:
     for ln in range(header_end + 1, header_end + 1 + n_vertices):
         if ln > len(lines):
             raise ParseError(f"{path}:{ln}: expected {n_vertices} vertices, file truncated")
-        parts = lines[ln - 1].split()
-        try:
-            pts.append([float(parts[ix]), float(parts[iy]), float(parts[iz])])
-        except (IndexError, ValueError) as e:
-            raise ParseError(f"{path}:{ln}: bad vertex line: {e}") from e
+        pts.append(_vertex(path, ln, lines[ln - 1].split(), (ix, iy, iz)))
     return PointCloud(np.asarray(pts, dtype=np.float64).reshape(-1, 3))
 
 

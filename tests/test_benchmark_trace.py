@@ -8,7 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from voxpick import grid_planner, pipeline
+from voxpick import cli, grid_planner, pipeline
 from voxpick.scene import GridBounds, OccupancyGrid
 from voxpick.templates import empty_scenario
 
@@ -53,6 +53,24 @@ def test_traced_run_records_each_stage(spans):
     # the three legs are refined stacked: one evaluation of the objective
     # for the input and one per iteration, not one per leg
     assert rec.counts["op"]["losses.eval_calls"] == 3
+
+
+def test_traced_masks_op_records_render_and_writes(spans, tmp_path):
+    # the remask workload's op: render and PGM writes must land in their
+    # projection spans, and the render counter must see every frame's pixels
+    scenario = empty_scenario()
+    scenario = replace(scenario, config=replace(scenario.config, iterations=2))
+    pipeline.write_bundle(pipeline.run(scenario), tmp_path / "bundle")
+    rec = spans.Recorder()
+    with rec.op_span("op"), spans.traced(rec):
+        assert cli.main(["masks", str(tmp_path / "bundle"), "--out", str(tmp_path / "out")]) == 0
+    names = [name for name, *_ in rec.spans]
+    assert {"cli.main", "projection.render", "projection.write_pgm"} <= set(names)
+    assert names.count("projection.write_pgm") == scenario.total_frames
+    cam = scenario.camera
+    counts = rec.counts["op"]
+    assert counts["projection.pixels"] == scenario.total_frames * cam.width * cam.height
+    assert counts["projection.actor_pixels"] > 0
 
 
 def test_traced_heap_counts_survive_the_hop_bound(spans, monkeypatch):

@@ -543,6 +543,13 @@ def _nan_first(key):
     return edit
 
 
+def _rotation_entry(row, col, value):
+    def edit(d):
+        d["camera"]["rotation"][row][col] = value
+
+    return edit
+
+
 def _add_primitive(prim):
     return lambda d: d["scene"]["primitives"].append(prim)
 
@@ -562,6 +569,10 @@ def _set(section, key, value):
         lambda d: d["camera"].update(fy_px=1e200),
         lambda d: d["camera"].update(translation_m=[float("nan"), 0.0, 0.0]),
         lambda d: d["camera"].update(rotation=[[float("nan")] * 3] * 3),
+        lambda d: d["camera"].update(cx_px=1e300),
+        lambda d: d["camera"].update(cy_px=-1e300),
+        _rotation_entry(0, 0, 1e149),
+        _rotation_entry(2, 1, -1e149),
         _nan_first("effector_start_m"),
         _nan_first("place_target_m"),
         lambda d: d["scene"].update(grasp_offset_m=[0.0, 0.0, 100.0]),
@@ -628,7 +639,8 @@ def _set(section, key, value):
     ],
     ids=[
         "width-0", "height-0", "fx-nan", "cx-inf", "fx-1e200", "fy-1e200",
-        "translation-nan", "rotation-nan",
+        "translation-nan", "rotation-nan", "cx-1e300", "cy-minus-1e300",
+        "rotation-entry-1e149", "rotation-entry-minus-1e149",
         "effector-start-nan", "place-target-nan", "grasp-point-outside", "grasp-offset-nan",
         "min-corner-nan", "effector-start-1-number", "object-position-4-numbers",
         "place-target-string", "grasp-offset-2-numbers", "dims-0", "dims-2-numbers",

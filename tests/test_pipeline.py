@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import fields, is_dataclass, replace
 
 import numpy as np
@@ -15,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from voxpick import pipeline
+from voxpick.cli import main
 from voxpick.distance_field import clearance_band, compute_edt
 from voxpick.errors import KeypointOccupied, ParseError, VoxpickError
 from voxpick.grid_planner import Stage, SubTrajectory, Trajectory, plan_three_stage
@@ -334,6 +336,35 @@ def test_bundle_layout_and_contents(sink_bundle, tmp_path):
     assert len(mask_manifest["files"]) == sink_bundle.scenario.total_frames
     img = read_pgm(out / "masks" / mask_manifest["files"][10])
     np.testing.assert_array_equal(img, sink_bundle.masks[10].image)
+
+
+def test_masks_are_drawn_one_frame_at_a_time(tmp_path):
+    # a mask holds its circles, not its pixels: the bundle that run returns,
+    # write_bundle and `voxpick masks` each stay under four frames of pixels
+    # (61 frames would be 18.7 MB)
+    scenario = sink_scenario()
+    camera = replace(scenario.camera, fx=600.0, fy=600.0, cx=320.0, cy=240.0,
+                     width=640, height=480)
+    scenario = replace(scenario, camera=camera, total_frames=61)
+    budget = 4 * camera.width * camera.height
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        bundle = run(scenario)
+        held = tracemalloc.get_traced_memory()[0] - start
+        peaks = []
+        for write in (
+            lambda: write_bundle(bundle, tmp_path / "bundle"),
+            lambda: main(["masks", str(tmp_path / "bundle"), "--out", str(tmp_path / "masks")]),
+        ):
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            write()
+            peaks.append(tracemalloc.get_traced_memory()[1] - start)
+    finally:
+        tracemalloc.stop()
+    assert held < budget and max(peaks) < budget, (held, peaks, budget)
+    assert len(os.listdir(tmp_path / "masks")) == 61
 
 
 def _manifest_names(node):

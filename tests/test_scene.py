@@ -1,5 +1,6 @@
 """Scene ingestion: parsing, voxelization, and grid coordinate maps."""
 
+import re
 import warnings
 
 import numpy as np
@@ -70,6 +71,19 @@ def test_ply_truncated_vertices(tmp_path):
         "end_header\n0 0 0\n"
     )
     with pytest.raises(ParseError):
+        load_point_cloud(path)
+
+
+@pytest.mark.parametrize("vertex", ["4 nan 6", "4 5 inf", "4 5 zebra", "4 5"])
+def test_ply_vertex_errors_carry_line_numbers(tmp_path, vertex):
+    # the same per-line reader as XYZ: the second vertex is file line 9
+    path = tmp_path / "bad.ply"
+    path.write_text(
+        "ply\nformat ascii 1.0\nelement vertex 2\n"
+        "property float x\nproperty float y\nproperty float z\n"
+        f"end_header\n1 2 3\n{vertex}\n"
+    )
+    with pytest.raises(ParseError, match=re.escape(f"{path}:9: ")):
         load_point_cloud(path)
 
 
