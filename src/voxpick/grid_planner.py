@@ -13,18 +13,25 @@ lower f, then lower h, then lexicographic cell order (which is flat-index
 order), and a cell keeps the first parent that reached it at its lowest g,
 so equal-cost paths come out the same on every run.
 
-Hop bound: once a search has popped ``_BOUND_AFTER_POPS`` of the padded
-grid's cells, it counts 26-connected hops from the goal over the padded
-mask with a numpy BFS. Every step costs at least 1, so a cell's hop count
-is a lower bound on its cost to go. Walking down the hop counts from the
-start gives the cost U of a feasible path, so U is at least the optimal
-cost C*. From then on the search skips any push, and any popped entry,
-whose g + max(hops, h) exceeds U(1 + 1e-9). A cell on an optimal path has
-g* + hops <= C* <= U, so it is never skipped and keeps the key it has
-without the bound; a skipped cell lies on no optimal path and so is never
-the parent of a path cell. Cells, cost and tie-breaks are therefore the
-same as without the bound; only work is skipped. If the BFS never reaches
-the start, the goal cannot be reached and the search ends at once.
+Pruning bound: once a search has popped ``_BOUND_AFTER_POPS`` of the
+padded grid's cells, two numpy BFS run from the goal over the padded mask.
+The first counts 26-connected hops; walking down them from the start gives
+the cost U of a feasible path, so U >= the optimal cost C*. The second
+weights each step by its L1 length (1 face, 2 edge, 3 corner) and gives
+G1, the least L1 length of a path to the goal; it stops once the start is
+settled, and a cell not settled by then gets that level, a lower bound on
+its G1. With B = (sqrt(3) - 1)/2 every step costs at least (1 - B) + B *
+(its L1 length), with equality for face and corner steps, so a path of N
+steps and L1 length L costs at least (1 - B) N + B L; as L >= N >= hops
+and L >= G1, a cell's cost to go is at least
+lb = (1 - B) hops + B max(G1, hops) >= hops. The search then skips any
+push, and any popped entry, whose g + max(lb, h) exceeds U(1 + 1e-9). A
+cell on an optimal path has g* + lb <= C* <= U, so it is never skipped and
+keeps the key it has without the bound; a skipped cell lies on no optimal
+path and so is never the parent of a path cell. Cells, cost and tie-breaks
+are therefore the same as without the bound; only work is skipped. If the
+hop BFS never reaches the start, the goal cannot be reached and the search
+ends at once.
 """
 
 from __future__ import annotations
@@ -98,14 +105,15 @@ class Trajectory:
 
 def dilate_chebyshev(occ: np.ndarray, clearance: int) -> np.ndarray:
     """Inflate occupancy by a Chebyshev ball of radius ``clearance``
-    (separable 1D max along each axis)."""
+    (separable 1D max along each axis; a shift past an axis's last cell
+    slices nothing, so each axis stops there)."""
     if clearance <= 0:
         return occ
     out = occ
     for axis in range(3):
         acc = out.copy()
         lead = (slice(None),) * axis
-        for shift in range(1, clearance + 1):
+        for shift in range(1, min(clearance, occ.shape[axis] - 1) + 1):
             lo, hi = lead + (slice(None, -shift),), lead + (slice(shift, None),)
             acc[lo] |= out[hi]
             acc[hi] |= out[lo]
@@ -113,24 +121,43 @@ def dilate_chebyshev(occ: np.ndarray, clearance: int) -> np.ndarray:
     return out
 
 
-# A search builds its hop bound once it has popped this share of the
-# padded grid's cells, when the work the bound can save starts to outweigh
-# building it. On the 64^3 partition grid (287,496 padded cells, 2-vCPU
-# VM) a build took 13.7 ms, the time of about 3,900 unpruned pops at
-# 3.5 us each: cells/74. Searches that end sooner, like every sink leg,
-# never pay for it.
-_BOUND_AFTER_POPS = 1 / 64
+# A search builds its pruning bound once it has popped this share of the
+# padded grid's cells. On the 64^3 partition grid (287,496 padded cells,
+# 2-vCPU VM) a build took 14-35 ms, the time of 4,000-10,000 unpruned pops
+# at 3.5 us each, but it cuts a search that climbs the divider about
+# eightfold: over the 24 seed-0 partition legs, a trigger of cells/64 popped
+# 132,607 entries in 0.87 s and this one (1,123 pops) 59,255 in 0.65 s.
+# Searches that end sooner, like every sink leg (34-37 pops), never pay.
+_BOUND_AFTER_POPS = 1 / 256
+
+# every step costs at least (1 - _B) + _B * (its L1 length)
+_B = (sqrt(3) - 1) / 2
+
+
+def _or_shifted(dst: np.ndarray, src: np.ndarray, d: int) -> None:
+    """``dst |= src`` moved by -d and by +d along the flat layout; the
+    blocked border keeps every shift from wrapping into a free cell."""
+    dst[d:] |= src[:-d]
+    dst[:-d] |= src[d:]
 
 
 def _hop_bound(padded: np.ndarray, s: int, t: int):
-    """The hop bound of the module docstring from flat cell ``s`` to ``t``:
-    (U, hop counts as a ``bytearray`` saturated at 255), or ``None`` when
-    ``t`` cannot reach ``s``. The walk down takes the shortest step to a
-    cell one hop nearer. The BFS stops once every count up to U is known;
-    a cell not reached by then gets the next count, which exceeds U."""
+    """The pruning bound of the module docstring from flat cell ``s`` to
+    ``t``: (U, hops as a ``bytearray`` saturated at 255, max(G1, hops) as
+    a uint16 memoryview saturated at 65535), or ``None`` when ``t`` cannot
+    reach ``s``. The walk down takes the shortest step to a cell one hop
+    nearer. The hop BFS stops once every count up to U is known; a cell not
+    reached by then gets the next count, which exceeds U. Either BFS's
+    level L lies within L x-slabs of ``t``, so it works only on the slabs
+    within L + 1 (the flat layout is x-major)."""
     free = padded.ravel()
     pz = padded.shape[2]
     sx = padded.shape[1] * pz
+    xt = t // sx
+
+    def slabs(level):
+        return slice(max(xt - level - 1, 0) * sx, (xt + level + 2) * sx)
+
     # flat moves, shortest step first
     down = sorted(
         ((dx * sx + dy * pz + dz, step) for (dx, dy, dz), step in _NEIGHBORS),
@@ -140,24 +167,24 @@ def _hop_bound(padded: np.ndarray, s: int, t: int):
     hops[t] = 0
     unseen = free.copy()
     unseen[t] = False
-    front = ~unseen & free
-    a, b = np.empty_like(free), np.empty_like(free)
+    front = np.zeros_like(free)
+    front[t] = True
+    a, b = np.zeros_like(free), np.zeros_like(free)
     level, bound = 0, inf
     while level < bound:
-        # the front grown by one voxel, separably along z, y and x; the
-        # blocked border keeps every shift from wrapping into a free cell
-        src = front
-        for d, dst in ((1, a), (pz, b), (sx, a)):
+        w = slabs(level)
+        # the front grown by one voxel, separably along z, y and x
+        src = front[w]
+        for d, dst in ((1, a[w]), (pz, b[w]), (sx, a[w])):
             np.copyto(dst, src)
-            dst[d:] |= src[:-d]
-            dst[:-d] |= src[d:]
+            _or_shifted(dst, src, d)
             src = dst
-        np.logical_and(src, unseen, out=front)
-        if not front.any():
+        np.logical_and(src, unseen[w], out=front[w])
+        if not front[w].any():
             break
-        unseen ^= front
+        unseen[w] ^= front[w]
         level += 1
-        np.copyto(hops, level, where=front)
+        np.copyto(hops[w], level, where=front[w])
         if bound == inf and hops[s] >= 0:
             i, bound = s, 0.0
             while i != t:
@@ -168,14 +195,47 @@ def _hop_bound(padded: np.ndarray, s: int, t: int):
     if bound == inf:
         return None
     np.copyto(hops, level + 1, where=unseen)
-    return bound, bytearray(hops.clip(0, 255, out=hops).astype(np.uint8))
+    hops = hops.clip(0, 255, out=hops).astype(np.uint8)
+
+    # G1 by Dial's buckets, a ring of 4 as no step is longer than 3; the
+    # front's z shifts (p), then its y-and-z (q) and y-or-z (p) shifts,
+    # then x, give its face, edge and corner neighbours
+    geo = np.zeros(free.size, dtype=np.uint16)
+    np.copyto(unseen, free)
+    ring = [front, np.zeros_like(free), np.zeros_like(free), np.zeros_like(free)]
+    front.fill(False)
+    front[t] = True
+    level = 0
+    while True:
+        w = slabs(level)
+        front, p, q = ring[level % 4][w], a[w], b[w]
+        front &= unseen[w]
+        unseen[w] ^= front
+        np.copyto(geo[w], min(level, 65535), where=front)
+        if ring[level % 4][s]:
+            break
+        p.fill(False)
+        _or_shifted(p, front, 1)
+        q.fill(False)
+        _or_shifted(q, p, pz)
+        _or_shifted(p, front, pz)
+        _or_shifted(ring[(level + 3) % 4][w], q, sx)
+        ring[(level + 2) % 4][w] |= q
+        _or_shifted(ring[(level + 2) % 4][w], p, sx)
+        ring[(level + 1) % 4][w] |= p
+        _or_shifted(ring[(level + 1) % 4][w], front, sx)
+        front.fill(False)
+        level += 1
+    np.copyto(geo, min(level, 65535), where=unseen)
+    np.maximum(geo, hops, out=geo)
+    return bound, bytearray(hops), geo.data
 
 
 def _astar_cells(free: np.ndarray, start, goal):
     """Deterministic A* over the free mask; returns the cell path and its
     cost, or ``(None, inf)``, also when either end is blocked. Layout,
-    tie-breaks and the hop bound as in the module docstring: cell (x, y, z)
-    is the int ``(x+1)*sx + (y+1)*pz + (z+1)``.
+    tie-breaks and the pruning bound as in the module docstring: cell
+    (x, y, z) is the int ``(x+1)*sx + (y+1)*pz + (z+1)``.
     """
     start = tuple(int(v) for v in start)
     goal = tuple(int(v) for v in goal)
@@ -202,6 +262,7 @@ def _astar_cells(free: np.ndarray, start, goal):
     came_by = bytearray(len(open_))  # index of the move that set each cell's g
     # until the bound is built nothing is pruned: lim is inf
     lim, hops = inf, bytearray(len(open_))
+    geo, lo, hi = hops, 1 - _B, _B  # lb = lo * hops + hi * geo
     bound_after = len(open_) * _BOUND_AFTER_POPS
     pops = 0
 
@@ -220,14 +281,14 @@ def _astar_cells(free: np.ndarray, start, goal):
             bound = _hop_bound(padded, s, t)
             if bound is None:
                 return None, inf
-            lim, hops = bound[0] * (1 + 1e-9), bound[1]
+            lim, hops, geo = bound[0] * (1 + 1e-9), bound[1], bound[2]
         if not open_[i]:
             continue
         if i == t:
             break
         open_[i] = 0
         gc = g[i]
-        if f > lim or gc + hops[i] > lim:
+        if f > lim or gc + lo * hops[i] + hi * geo[i] > lim:
             continue  # pushed before the bound was built; on no optimal path
         x, r = divmod(i, sx)
         y, z = divmod(r, pz)
@@ -236,7 +297,7 @@ def _astar_cells(free: np.ndarray, start, goal):
             j = i + off
             if open_[j]:
                 ng = gc + step
-                if ng < g[j] and ng + hops[j] <= lim:
+                if ng < g[j] and ng + lo * hops[j] + hi * geo[j] <= lim:
                     a, b, c = ex - dx, ey - dy, ez - dz
                     hn = sqrt(a * a + b * b + c * c)
                     fn = ng + hn

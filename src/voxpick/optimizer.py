@@ -136,17 +136,19 @@ def optimize_trajectory(
     steps = [(o, e, _inverse_metric(e - o - 2)) for o, e in legs if e - o > 2]
     P = np.concatenate([sub.points for sub in traj.subs], dtype=np.float64)
     iterates = []  # (per-leg terms, P) of the input, then one per step
-    for t in range(config.iterations + 1 if steps else 1):
-        if t:
-            P = P.copy()  # each iterate keeps its own array
-            for o, e, A_inv in steps:
-                P[o + 1 : e - 1] -= config.learning_rate * (A_inv @ grad[o + 1 : e - 1])
-        terms, grad = evaluate_losses(P, field, config, legs)
-        for sub, (o, e), leg_terms in zip(traj.subs, legs, terms):
-            if not (np.isfinite(leg_terms.total) and np.isfinite(grad[o:e]).all()):
-                msg = f"{sub.stage.value}: objective is non-finite at iteration {t}"
-                raise NonFiniteLoss(msg, iteration=t)
-        iterates.append((terms, P))
+    # a diverging step overflows; it ends in NonFiniteLoss, not a warning
+    with np.errstate(all="ignore"):
+        for t in range(config.iterations + 1 if steps else 1):
+            if t:
+                P = P.copy()  # each iterate keeps its own array
+                for o, e, A_inv in steps:
+                    P[o + 1 : e - 1] -= config.learning_rate * (A_inv @ grad[o + 1 : e - 1])
+            terms, grad = evaluate_losses(P, field, config, legs)
+            for sub, (o, e), leg_terms in zip(traj.subs, legs, terms):
+                if not (np.isfinite(leg_terms.total) and np.isfinite(grad[o:e]).all()):
+                    msg = f"{sub.stage.value}: objective is non-finite at iteration {t}"
+                    raise NonFiniteLoss(msg, iteration=t)
+            iterates.append((terms, P))
 
     subs, per_before, per_after, trace = [], {}, {}, {}
     for k, (sub, (o, e)) in enumerate(zip(traj.subs, legs)):

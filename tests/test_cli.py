@@ -465,6 +465,17 @@ def test_plan_rejects_a_d_safe_beyond_the_grid_diagonal(planned, tmp_path, capsy
     assert not (tmp_path / "out").exists()
 
 
+def test_a_diverging_refiner_exits_4_with_one_line_and_no_warning(planned, tmp_path, capsys):
+    # w_len 1e8 overshoots until the curvature term overflows; the refiner
+    # ends in NonFiniteLoss without a numpy RuntimeWarning before it
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = _plan_edited(planned, tmp_path, lambda d: d["planner"].update(w_len=1e8))
+    lines = capsys.readouterr().err.splitlines()
+    assert rc == 4
+    assert len(lines) == 1 and lines[0].startswith("error:optimize:non-finite:"), lines
+
+
 @pytest.mark.parametrize("dims", [[10**7] * 3, [257, 256, 256]])
 def test_plan_refuses_a_grid_over_the_cell_cap(planned, tmp_path, capsys, dims):
     # refused while parsing, before numpy is asked for the array

@@ -99,7 +99,7 @@ def test_inflation_falls_back_when_it_buries_a_keypoint():
 
 def test_dilate_chebyshev_matches_brute_force(rng):
     occ = rng.random((6, 6, 6)) < 0.15
-    for radius in (1, 2):
+    for radius in (1, 2, 5, 6, 7, 100):  # 5 reaches every cell; larger shifts slice nothing
         got = dilate_chebyshev(occ, radius)
         want = np.zeros_like(occ)
         for c in np.argwhere(occ):
@@ -108,6 +108,19 @@ def test_dilate_chebyshev_matches_brute_force(rng):
             want[lo[0] : hi[0], lo[1] : hi[1], lo[2] : hi[2]] = True
         np.testing.assert_array_equal(got, want)
     assert dilate_chebyshev(occ, 0) is occ
+
+
+def test_a_clearance_past_the_grid_size_plans_quickly():
+    # each axis stops at its last shift, so 10**6 costs what 63 does: the
+    # inflation buries the keypoints and the plan falls back to clearance 0
+    sink = sink_scenario()
+    grid, _ = build_grid(sink)
+    t0 = time.perf_counter()
+    sub = plan_segment(grid, grid.world_to_grid(sink.spec.effector_start),
+                       grid.world_to_grid(sink.spec.object_position), clearance_voxels=10**6)
+    elapsed = time.perf_counter() - t0
+    assert sub.clearance_used == 0
+    assert elapsed < 2.0, f"took {elapsed:.2f}s, budget 2s"
 
 
 def test_trajectory_rejects_junction_mismatch():
@@ -398,13 +411,116 @@ def test_hops_and_descent_bound_the_optimal_cost(rng):
         if bound is None:
             assert best == inf
             continue
-        upper, hops = bound
+        upper, hops, geo = bound
         assert upper >= best - 1e-12
         for cell in map(tuple, np.argwhere(free)):
-            # a lower bound on the cost to go, also on cells cut off from the goal
-            assert hops[_flat(padded, cell)] <= dijkstra_cost(free, cell, goal)
+            # a lower bound on the cost to go, also on cells cut off from the
+            # goal; rounding may put lb a few ulps over an exact sum, which
+            # the search's 1e-9 slack covers
+            i = _flat(padded, cell)
+            lb = (1 - grid_planner._B) * hops[i] + grid_planner._B * geo[i]
+            assert hops[i] <= lb <= dijkstra_cost(free, cell, goal) * (1 + 1e-12)
         checked += 1
     assert checked > 10
+
+
+def _l1_lengths(free, goal, faces_only=False):
+    """Least L1 length of a 26-connected path from each free cell to
+    ``goal`` by a plain Dijkstra over steps weighing 1, 2 and 3 (or over
+    face steps alone); cells that cannot reach it are absent."""
+    steps = [d for d in itertools.product((-1, 0, 1), repeat=3)
+             if any(d) and (not faces_only or sum(map(abs, d)) == 1)]
+    dist, heap = {goal: 0}, [(0, goal)]
+    while heap:
+        d, cell = heapq.heappop(heap)
+        if d > dist[cell]:
+            continue
+        for step in steps:
+            nb = tuple(c + o for c, o in zip(cell, step))
+            if all(0 <= c < n for c, n in zip(nb, free.shape)) and free[nb]:
+                nd = d + sum(map(abs, step))
+                if nd < dist.get(nb, inf):
+                    dist[nb] = nd
+                    heapq.heappush(heap, (nd, nb))
+    return dist
+
+
+def test_geodesic_l1_matches_brute_force_dijkstra(rng):
+    checked = corner_cuts = 0
+    for k in range(60):
+        query = _random_query(rng, max_side=8)
+        if query is None:
+            continue
+        free, start, goal = query
+        padded = np.pad(free, 1)
+        bound = _hop_bound(padded, _flat(padded, start), _flat(padded, goal))
+        if bound is None:
+            continue
+        _, hops, geo = bound
+        want = _l1_lengths(free, goal)
+        faces = _l1_lengths(free, goal, faces_only=True)
+        stop = want[start]  # the BFS stops once the start is settled
+        assert geo[_flat(padded, start)] == stop
+        for cell in map(tuple, np.argwhere(free)):
+            i = _flat(padded, cell)
+            if want.get(cell, inf) <= stop:
+                assert geo[i] == want[cell] >= hops[i], (k, cell)
+            else:  # not settled: the stop level, or the hop count if larger
+                assert geo[i] == max(stop, hops[i]) <= want.get(cell, inf), (k, cell)
+            corner_cuts += want.get(cell, inf) < faces.get(cell, inf)
+        checked += 1
+    assert checked > 20
+    assert corner_cuts > 0  # some least paths cut a blocked edge or corner
+
+
+def _partition_scenario():
+    """The sink with its rim raised into a divider, as in the benchmark's
+    partition scene and ``test_three_stage_on_partition_matches_reference``."""
+    sink = sink_scenario()
+    prims = tuple(
+        Box((p.min_m[0], 0.4, p.min_m[2]), (p.max_m[0], 12.4, 10.0), p.name)
+        if p.name == "rim" else p
+        for p in sink.spec.primitives
+    )
+    return replace(sink, spec=replace(sink.spec, primitives=prims))
+
+
+class _CountingHeapq:
+    """``heapq`` as the search sees it, counting pops (stale ones too)."""
+
+    def __init__(self):
+        self.popped = 0
+        self.heappush = heapq.heappush
+
+    def heappop(self, heap):
+        self.popped += 1
+        return heapq.heappop(heap)
+
+
+def _plan_counted(scenario, monkeypatch):
+    grid, _ = build_grid(scenario)
+    spec = scenario.spec
+    shim = _CountingHeapq()
+    monkeypatch.setattr(grid_planner, "heapq", shim)
+    plan_three_stage(grid, spec.effector_start, spec.object_position, spec.place_target,
+                     clearance_voxels=scenario.config.clearance_voxels)
+    return shim.popped
+
+
+def test_partition_pops_a_quarter_of_what_the_hop_bound_alone_did(monkeypatch):
+    # the three legs popped 47,512 entries with the hop count as the only
+    # lower bound; the L1-geodesic bound cuts that to about 5,900
+    assert _plan_counted(_partition_scenario(), monkeypatch) < 47_512 / 4
+
+
+def test_sink_legs_never_build_the_bound(monkeypatch):
+    # every sink leg ends long before the trigger, so planning the sink
+    # (and each bundle a remask set-up plans) costs no BFS
+    built = []
+    real = grid_planner._hop_bound
+    monkeypatch.setattr(grid_planner, "_hop_bound", lambda *a: built.append(a) or real(*a))
+    assert _plan_counted(sink_scenario(), monkeypatch) == 105
+    assert built == []
 
 
 def test_a_sealed_goal_ends_in_no_path_quickly():
