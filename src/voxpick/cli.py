@@ -14,7 +14,6 @@ Exit codes: 0 ok, 2 parse/input, 3 no path, 4 optimizer non-finite,
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from dataclasses import replace
@@ -22,13 +21,20 @@ from typing import List, Optional
 
 import numpy as np
 
-from .errors import CorruptBundle, DegeneratePath, OracleMismatch, ParseError, VoxpickError
-from .grid_planner import STAGE_ORDER, Stage
+from .errors import OracleMismatch, VoxpickError
+from .grid_planner import Stage
+from .optimizer import LOSS_KEYS
 from .pipeline import (
+    BAND_KEY,
+    CLEARANCE_COLUMNS,
+    FRAME_FILE,
+    LOSSES,
     Scenario,
-    _finite,
     _non_negative_int,
     load_scenario,
+    read_bundle_scenario,
+    read_metrics,
+    read_timed,
     run,
     save_scenario,
     write_bundle,
@@ -37,7 +43,7 @@ from .projection import render_guidance_masks, write_pgm
 from .scene import Box
 from .selfcheck import run_checks
 from .templates import TEMPLATES, make_template
-from .time_alloc import STAGE_GRIPPER, GripperState, TimedTrajectory, sine_fit
+from .time_alloc import sine_fit
 
 
 def _random_clutter(scenario: Scenario, count: int, seed: int) -> Scenario:
@@ -101,112 +107,38 @@ def cmd_plan(args) -> int:
 
 # --- report -----------------------------------------------------------------
 
-LOSS_COLUMNS = ("col", "len", "acc", "curv", "total")
-CLEARANCE_COLUMNS = ("min_m", "interior_min_m")
-ARC_LENGTH_KEYS = ("arc_length_initial_m", "arc_length_optimized_m", "arc_length_timed_m")
-
-
-def _load_bundle_json(bundle_dir: str, name: str) -> dict:
-    path = os.path.join(bundle_dir, name)
-    try:
-        with open(path, "r", encoding="ascii") as fh:
-            return json.load(fh)
-    except OSError as e:
-        raise CorruptBundle(f"cannot read {path}: {e}") from e
-    except ValueError as e:  # JSONDecodeError, or an integer over Python's digit limit
-        raise CorruptBundle(f"{path}: invalid JSON: {e}") from e
-
-
 def report_tables(bundle_dir: str) -> dict:
     """Structured report data read back from a bundle directory."""
-    metrics = _load_bundle_json(bundle_dir, "metrics.json")
-    try:
-        losses = metrics["losses"]
-        loss_rows = [
-            (phase, [_finite(losses[phase][c], c) for c in LOSS_COLUMNS])
-            for phase in ("before", "after")
-        ]
-        clearance_rows = []
-        for phase in ("before", "after"):
-            for stage in ("approach", "manipulate", "back_idle"):
-                stats = metrics[f"clearance_{phase}"][stage]
-                clearance_rows.append(
-                    (phase, stage, [_finite(stats[c], c) for c in CLEARANCE_COLUMNS])
-                )
-        arc_lengths = [(k, _finite(metrics[k], k)) for k in ARC_LENGTH_KEYS]
-        band = _finite(metrics["clearance_band_m"], "clearance_band_m")
-    except (KeyError, TypeError, ParseError) as e:
-        raise CorruptBundle(f"metrics.json: missing or malformed entry: {e}") from e
-    initial = _timed_from_bundle(bundle_dir, "trajectory_initial.jsonl")
-    optimized = _timed_from_bundle(bundle_dir, "trajectory_optimized.jsonl")
-    sine_fit_rows = [
-        (stage.value, [sine_fit(initial, stage), sine_fit(optimized, stage)])
-        for stage in Stage
+    tables = read_metrics(bundle_dir)
+    initial, optimized = (read_timed(bundle_dir, phase) for phase in ("initial", "optimized"))
+    tables["sine_fit"] = [
+        (stage.value, [sine_fit(initial, stage), sine_fit(optimized, stage)]) for stage in Stage
     ]
-    return {
-        "losses": loss_rows,
-        "clearance_band_m": band,
-        "clearance": clearance_rows,
-        "sine_fit": sine_fit_rows,
-        "arc_lengths": arc_lengths,
-    }
+    return tables
 
 
 def cmd_report(args) -> int:
     tables = report_tables(args.bundle)
-    out = sys.stdout
-    print("losses," + ",".join(LOSS_COLUMNS), file=out)
-    for phase, values in tables["losses"]:
-        print(phase + "," + ",".join(repr(v) for v in values), file=out)
-    band = tables["clearance_band_m"]
-    print(f"clearance_band_m,{band!r}", file=out)
-    print("clearance,stage," + ",".join(CLEARANCE_COLUMNS), file=out)
+    print(",".join((LOSSES,) + LOSS_KEYS))
+    for phase, values in tables[LOSSES]:
+        print(phase + "," + ",".join(repr(v) for v in values))
+    band = tables[BAND_KEY]
+    print(f"{BAND_KEY},{band!r}")
+    print("clearance,stage," + ",".join(CLEARANCE_COLUMNS))
     for phase, stage, values in tables["clearance"]:
         texts = (_clearance_text(v, band) for v in values)
-        print(f"{phase},{stage}," + ",".join(texts), file=out)
-    print("sine_fit,stage,initial_max_dev,optimized_max_dev", file=out)
+        print(f"{phase},{stage}," + ",".join(texts))
+    print("sine_fit,stage,initial_max_dev,optimized_max_dev")
     for stage, values in tables["sine_fit"]:
-        print(f"sine_fit,{stage}," + ",".join(repr(v) for v in values), file=out)
+        print(f"sine_fit,{stage}," + ",".join(repr(v) for v in values))
     for key, value in tables["arc_lengths"]:
-        print(f"{key},{value!r}", file=out)
+        print(f"{key},{value!r}")
     return 0
 
 
-def _timed_from_bundle(bundle_dir: str, name: str) -> TimedTrajectory:
-    """Read a trajectory file; record k must be frame k, carry the gripper
-    state of its stage, and the stages must run approach -> manipulate ->
-    back_idle."""
-    path = os.path.join(bundle_dir, name)
-    positions, stages = [], []
-    try:
-        with open(path, "rb") as fh:
-            for line_no, line in enumerate(fh):
-                # decoded here, not by the file, so a bad byte names its line
-                rec = json.loads(line.decode("ascii"))
-                stage = Stage(rec["stage"])
-                if _non_negative_int(rec["frame"], "frame") != line_no:
-                    raise ValueError(f"frame {rec['frame']!r}, expected {line_no}")
-                if GripperState(rec["gripper"]) is not STAGE_GRIPPER[stage]:
-                    raise ValueError(f"gripper {rec['gripper']!r} in stage {stage.value!r}")
-                if stages and STAGE_ORDER.index(stage) < STAGE_ORDER.index(stages[-1]):
-                    raise ValueError(f"stage {stage.value!r} after {stages[-1].value!r}")
-                positions.append([_finite(rec[k], k) for k in ("x_m", "y_m", "z_m")])
-                stages.append(stage)
-    except OSError as e:
-        raise CorruptBundle(f"cannot read {path}: {e}") from e
-    except (KeyError, TypeError, ValueError, ParseError) as e:
-        raise CorruptBundle(f"{path} line {line_no + 1}: {e}") from e
-    if not stages:
-        raise CorruptBundle(f"{path}: no frames")
-    try:
-        return TimedTrajectory(np.array(positions), tuple(stages))
-    except DegeneratePath as e:
-        raise CorruptBundle(f"{path}: {e}") from e
-
-
 def cmd_masks(args) -> int:
-    scenario = load_scenario(os.path.join(args.bundle, "scenario.json"))
-    timed = _timed_from_bundle(args.bundle, "trajectory_optimized.jsonl")
+    scenario = read_bundle_scenario(args.bundle)
+    timed = read_timed(args.bundle, "optimized")
     spec = scenario.spec
     masks = render_guidance_masks(
         timed, spec.grasp_point(), spec.place_target,
@@ -214,7 +146,7 @@ def cmd_masks(args) -> int:
     )
     os.makedirs(args.out, exist_ok=True)
     for k, m in enumerate(masks):
-        write_pgm(os.path.join(args.out, f"frame_{k:04d}.pgm"), m.image)
+        write_pgm(os.path.join(args.out, FRAME_FILE.format(k)), m.image)
     print(f"{len(masks)} masks -> {args.out}")
     return 0
 

@@ -60,6 +60,9 @@ class PlannerConfig:
             raise ValueError(f"eps_curv must be finite and non-negative: {self.eps_curv}")
 
 
+LOSS_KEYS = ("col", "len", "acc", "curv", "total")  # LossTerms.as_dict, in field order
+
+
 @dataclass
 class LossTerms:
     col: float
@@ -69,13 +72,7 @@ class LossTerms:
     total: float
 
     def as_dict(self) -> Dict[str, float]:
-        return {
-            "col": self.col,
-            "len": self.length,
-            "acc": self.acc,
-            "curv": self.curv,
-            "total": self.total,
-        }
+        return dict(zip(LOSS_KEYS, (self.col, self.length, self.acc, self.curv, self.total)))
 
 
 @dataclass

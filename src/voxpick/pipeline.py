@@ -4,7 +4,8 @@
 Scenario files are JSON with unit-suffixed keys (``voxel_size_m``). The
 ``_FIELDS`` table is the one place that lists them: parsing, defaults and
 ``scenario.json`` all come from its rows. A bundle is a plain directory
-with a manifest so runs diff cleanly.
+with a manifest so runs diff cleanly; ``write_bundle`` writes it and the
+``read_*`` functions read it back, both through one set of names.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, fields, is_dataclass
+from dataclasses import asdict, dataclass, fields, is_dataclass
 from operator import attrgetter
 from typing import Dict, List, Optional, Tuple, get_type_hints
 
@@ -21,9 +22,9 @@ import numpy as np
 
 from . import scene as scene_mod
 from .distance_field import DistanceField, clearance_band, compute_edt
-from .errors import KeypointOccupied, ParseError, VoxpickError
-from .grid_planner import Trajectory, plan_three_stage
-from .optimizer import LossReport, PlannerConfig, optimize_trajectory
+from .errors import CorruptBundle, DegeneratePath, KeypointOccupied, ParseError, VoxpickError
+from .grid_planner import STAGE_ORDER, Stage, Trajectory, plan_three_stage
+from .optimizer import LOSS_KEYS, LossReport, PlannerConfig, optimize_trajectory
 from .projection import (
     CameraModel,
     GuidanceMask,
@@ -35,6 +36,7 @@ from .scene import Box, GridBounds, OccupancyGrid, Plane, SceneSpec, Sphere, Vec
 from .time_alloc import (
     MAX_POSITION_M,
     STAGE_GRIPPER,
+    GripperState,
     TimedTrajectory,
     VelocityProfile,
     arc_length,
@@ -44,6 +46,8 @@ from .time_alloc import (
 SCHEMA_VERSION = 1  # of the scenario file
 BUNDLE_SCHEMA_VERSION = 2  # of the bundle's manifest.json
 MAX_CELLS = 2**24  # 256^3, 8 times the largest grid the benchmark plans (128^3)
+MAX_FRAMES = 2**14  # 68 times the remask benchmark's 241 frames
+MAX_PIXELS = 2**24  # per frame; 54 times the remask benchmark's 640x480
 
 
 @dataclass(frozen=True)
@@ -61,8 +65,11 @@ class Scenario:
     gripper_radius: float
 
     def __post_init__(self):
-        if self.total_frames < 6:
-            raise ParseError(f"total_frames must be >= 6, got {self.total_frames}")
+        if not 6 <= self.total_frames <= MAX_FRAMES:
+            raise ParseError(f"frames.total_frames must be in [6, 2**14], got {self.total_frames}")
+        if self.camera.width * self.camera.height > MAX_PIXELS:
+            raise ParseError(f"camera.width_px * camera.height_px exceeds 2**24 pixels: "
+                             f"{self.camera.width}x{self.camera.height}")
         for name, r in (
             ("actors.object_radius_m", self.object_radius),
             ("actors.gripper_radius_m", self.gripper_radius),
@@ -99,9 +106,6 @@ class ClearanceStats:
     min_m: float
     interior_min_m: float  # min over waypoints excluding the stage endpoints
 
-    def as_dict(self):
-        return {"min_m": self.min_m, "interior_min_m": self.interior_min_m}
-
 
 @dataclass
 class RunBundle:
@@ -137,8 +141,8 @@ def build_grid(scenario: Scenario) -> Tuple[OccupancyGrid, int]:
     if scenario.cloud_path is None:
         grid, outside = scene_mod.synth_scene(spec, scenario.dims, scenario.bounds), 0
     else:
-        cloud = scene_mod.load_point_cloud(scenario.cloud_path)
-        grid, outside = scene_mod.voxelize(cloud, scenario.dims, scenario.bounds)
+        points = scene_mod.load_point_cloud(scenario.cloud_path)
+        grid, outside = scene_mod.voxelize(points, scenario.dims, scenario.bounds)
     keypoints = {"effector start": spec.effector_start, "grasp point": spec.grasp_point(),
                  "place target": spec.place_target}
     for name, p in keypoints.items():
@@ -406,32 +410,52 @@ def _dump_json(obj, path) -> None:
         fh.write("\n")
 
 
-def load_scenario(path) -> Scenario:
+def _load_json(path, error):
+    """A JSON file's value; a file that cannot be read or parsed raises ``error``."""
     try:
         with open(path, "r", encoding="ascii") as fh:
-            return scenario_from_dict(json.load(fh))
+            return json.load(fh)
     except OSError as e:
-        raise ParseError(f"cannot read scenario {path}: {e}") from e
+        raise error(f"cannot read {path}: {e}") from e
     except ValueError as e:  # JSONDecodeError, or an integer over Python's digit limit
-        raise ParseError(f"{path}: invalid JSON: {e}") from e
+        raise error(f"{path}: invalid JSON: {e}") from e
+
+
+def load_scenario(path) -> Scenario:
+    return scenario_from_dict(_load_json(path, ParseError))
 
 
 def save_scenario(s: Scenario, path) -> None:
     _dump_json(scenario_to_dict(s), path)
 
 
-# --- bundle writing ---------------------------------------------------------
+# --- the run bundle ---------------------------------------------------------
+# Each bundle file name and record key, defined once for the writer and the readers.
 
+_SCENARIO_FILE = "scenario.json"
+_TRAJECTORY_FILES = {"initial": "trajectory_initial.jsonl",
+                     "optimized": "trajectory_optimized.jsonl"}
+_WAYPOINTS_FILE = "waypoints.jsonl"
+_METRICS_FILE = "metrics.json"
+_MANIFEST_FILE = "manifest.json"  # of the bundle, and of its masks directory
+_MASKS_DIR = "masks"
+FRAME_FILE = "frame_{:04d}.pgm"  # frame k's mask, in a bundle and in `voxpick masks` output
 
 _XYZ = ("x_m", "y_m", "z_m")
+_TRAJ_KEYS = ("frame", "stage", "gripper") + _XYZ
 _WAYPOINT_XYZ = _XYZ + tuple("initial_" + k for k in _XYZ)
+# metrics.json: LossReport.as_dict under LOSSES, keyed by phase like the clearances
+LOSSES, BAND_KEY = "losses", "clearance_band_m"
+_PHASES = ("before", "after")
+_CLEARANCE_KEYS = {phase: "clearance_" + phase for phase in _PHASES}
+CLEARANCE_COLUMNS = tuple(f.name for f in fields(ClearanceStats))
+_ARC_LENGTH_KEYS = ("arc_length_initial_m", "arc_length_optimized_m", "arc_length_timed_m")
 
 
 def _traj_records(timed: TimedTrajectory):
     """One record per frame."""
     for k, (p, stage) in enumerate(zip(timed.positions.tolist(), timed.stages)):
-        yield {"frame": k, "stage": stage.value, "gripper": STAGE_GRIPPER[stage].value,
-               **dict(zip(_XYZ, p))}
+        yield dict(zip(_TRAJ_KEYS, (k, stage.value, STAGE_GRIPPER[stage].value, *p)))
 
 
 def _waypoint_records(initial: Trajectory, optimized: Trajectory):
@@ -452,57 +476,103 @@ def _write_jsonl(path, records) -> None:
 
 def write_bundle(bundle: RunBundle, out_dir) -> None:
     """Lay the bundle out as a plain directory; byte-deterministic."""
-    os.makedirs(out_dir, exist_ok=True)
-    masks_dir = os.path.join(out_dir, "masks")
+    masks_dir = os.path.join(out_dir, _MASKS_DIR)
     os.makedirs(masks_dir, exist_ok=True)
 
-    save_scenario(bundle.scenario, os.path.join(out_dir, "scenario.json"))
+    save_scenario(bundle.scenario, os.path.join(out_dir, _SCENARIO_FILE))
+    for name, timed in zip(_TRAJECTORY_FILES.values(),
+                           (bundle.timed_initial, bundle.timed_optimized)):
+        _write_jsonl(os.path.join(out_dir, name), _traj_records(timed))
     _write_jsonl(
-        os.path.join(out_dir, "trajectory_initial.jsonl"), _traj_records(bundle.timed_initial)
+        os.path.join(out_dir, _WAYPOINTS_FILE), _waypoint_records(bundle.initial, bundle.optimized)
     )
-    _write_jsonl(
-        os.path.join(out_dir, "trajectory_optimized.jsonl"), _traj_records(bundle.timed_optimized)
-    )
-    _write_jsonl(
-        os.path.join(out_dir, "waypoints.jsonl"),
-        _waypoint_records(bundle.initial, bundle.optimized),
-    )
+    arc_lengths = (arc_length(bundle.initial.waypoints()),
+                   arc_length(bundle.optimized.waypoints()),
+                   arc_length(bundle.timed_optimized.positions))
     metrics = {
-        "losses": bundle.loss_report.as_dict(),
-        "clearance_band_m": bundle.clearance_band_m,
-        "clearance_before": {k: v.as_dict() for k, v in bundle.clearance_before.items()},
-        "clearance_after": {k: v.as_dict() for k, v in bundle.clearance_after.items()},
-        "arc_length_initial_m": arc_length(bundle.initial.waypoints()),
-        "arc_length_optimized_m": arc_length(bundle.optimized.waypoints()),
-        "arc_length_timed_m": arc_length(bundle.timed_optimized.positions),
+        LOSSES: bundle.loss_report.as_dict(),
+        BAND_KEY: bundle.clearance_band_m,
+        **{_CLEARANCE_KEYS[phase]: {k: asdict(v) for k, v in c.items()}
+           for phase, c in zip(_PHASES, (bundle.clearance_before, bundle.clearance_after))},
+        **dict(zip(_ARC_LENGTH_KEYS, arc_lengths)),
         "points_outside_bounds": bundle.points_outside,
-        "clearance_fallback": {
-            s.stage.value: s.clearance_used for s in bundle.initial.subs
-        },
+        "clearance_fallback": {s.stage.value: s.clearance_used for s in bundle.initial.subs},
     }
-    _dump_json(metrics, os.path.join(out_dir, "metrics.json"))
+    _dump_json(metrics, os.path.join(out_dir, _METRICS_FILE))
 
-    mask_files = []
-    for k, m in enumerate(bundle.masks):
-        name = f"frame_{k:04d}.pgm"
+    mask_files = [FRAME_FILE.format(k) for k in range(len(bundle.masks))]
+    for name, m in zip(mask_files, bundle.masks):
         write_pgm(os.path.join(masks_dir, name), m.image)
-        mask_files.append(name)
     _dump_json(
-        {
-            "keep_first_frame": bundle.masks[0].keep_first_frame,
-            "palette": PALETTE,
-            "files": mask_files,
-        },
-        os.path.join(masks_dir, "manifest.json"),
+        {"keep_first_frame": bundle.masks[0].keep_first_frame, "palette": PALETTE,
+         "files": mask_files},
+        os.path.join(masks_dir, _MANIFEST_FILE),
     )
     _dump_json(
         {
             "schema_version": BUNDLE_SCHEMA_VERSION,
-            "scenario": "scenario.json",
-            "trajectories": ["trajectory_initial.jsonl", "trajectory_optimized.jsonl"],
-            "waypoints": "waypoints.jsonl",
-            "metrics": "metrics.json",
-            "masks": "masks/manifest.json",
+            "scenario": _SCENARIO_FILE,
+            "trajectories": list(_TRAJECTORY_FILES.values()),
+            "waypoints": _WAYPOINTS_FILE,
+            "metrics": _METRICS_FILE,
+            "masks": f"{_MASKS_DIR}/{_MANIFEST_FILE}",
         },
-        os.path.join(out_dir, "manifest.json"),
+        os.path.join(out_dir, _MANIFEST_FILE),
     )
+
+
+def read_bundle_scenario(bundle_dir) -> Scenario:
+    """The scenario a bundle was planned from, checked as any scenario file."""
+    return load_scenario(os.path.join(bundle_dir, _SCENARIO_FILE))
+
+
+def read_timed(bundle_dir, phase: str) -> TimedTrajectory:
+    """The ``phase`` trajectory, the inverse of ``_traj_records``: record k
+    must be frame k, carry the gripper state of its stage, and the stages
+    must run approach -> manipulate -> back_idle."""
+    path = os.path.join(bundle_dir, _TRAJECTORY_FILES[phase])
+    positions, stages = [], []
+    try:
+        with open(path, "rb") as fh:
+            for line_no, line in enumerate(fh):
+                # decoded here, not by the file, so a bad byte names its line
+                rec = json.loads(line.decode("ascii"))
+                frame, stage, gripper, *xyz = (rec[k] for k in _TRAJ_KEYS)
+                stage = Stage(stage)
+                if _non_negative_int(frame, "frame") != line_no:
+                    raise ValueError(f"frame {frame!r}, expected {line_no}")
+                if GripperState(gripper) is not STAGE_GRIPPER[stage]:
+                    raise ValueError(f"gripper {gripper!r} in stage {stage.value!r}")
+                if stages and STAGE_ORDER.index(stage) < STAGE_ORDER.index(stages[-1]):
+                    raise ValueError(f"stage {stage.value!r} after {stages[-1].value!r}")
+                positions.append([_finite(v, k) for k, v in zip(_XYZ, xyz)])
+                stages.append(stage)
+    except OSError as e:
+        raise CorruptBundle(f"cannot read {path}: {e}") from e
+    except (KeyError, TypeError, ValueError, ParseError) as e:
+        raise CorruptBundle(f"{path} line {line_no + 1}: {e}") from e
+    if not stages:
+        raise CorruptBundle(f"{path}: no frames")
+    try:
+        return TimedTrajectory(np.array(positions), tuple(stages))
+    except DegeneratePath as e:
+        raise CorruptBundle(f"{path}: {e}") from e
+
+
+def read_metrics(bundle_dir) -> dict:
+    """The loss totals and clearances of each phase, the clearance band and
+    the arc lengths, as the rows that ``voxpick report`` prints."""
+    metrics = _load_json(os.path.join(bundle_dir, _METRICS_FILE), CorruptBundle)
+    try:
+        clearance = [(phase, stage.value, metrics[_CLEARANCE_KEYS[phase]][stage.value])
+                     for phase in _PHASES for stage in STAGE_ORDER]
+        return {
+            LOSSES: [(phase, [_finite(metrics[LOSSES][phase][k], k) for k in LOSS_KEYS])
+                     for phase in _PHASES],
+            BAND_KEY: _finite(metrics[BAND_KEY], BAND_KEY),
+            "clearance": [(phase, stage, [_finite(stats[k], k) for k in CLEARANCE_COLUMNS])
+                          for phase, stage, stats in clearance],
+            "arc_lengths": [(k, _finite(metrics[k], k)) for k in _ARC_LENGTH_KEYS],
+        }
+    except (KeyError, TypeError, ParseError) as e:
+        raise CorruptBundle(f"{_METRICS_FILE}: missing or malformed entry: {e}") from e

@@ -18,18 +18,6 @@ Vec3 = Tuple[float, float, float]
 
 
 @dataclass(frozen=True)
-class PointCloud:
-    points: np.ndarray  # (n, 3) float64, world meters
-
-    def __post_init__(self):
-        pts = np.asarray(self.points, dtype=np.float64).reshape(-1, 3)
-        object.__setattr__(self, "points", pts)
-
-    def __len__(self) -> int:
-        return len(self.points)
-
-
-@dataclass(frozen=True)
 class GridBounds:
     min_corner: Vec3
     voxel_size: float  # meters
@@ -190,8 +178,9 @@ class SceneSpec:
 # --- operations -----------------------------------------------------------
 
 
-def load_point_cloud(path) -> PointCloud:
-    """Read an ASCII XYZ ("x y z" per line) or ASCII PLY point cloud."""
+def load_point_cloud(path) -> np.ndarray:
+    """Read an ASCII XYZ ("x y z" per line) or ASCII PLY point cloud as an
+    ``(n, 3)`` float64 array of world meters."""
     try:
         with open(path, "r", encoding="ascii", errors="strict") as fh:
             lines = fh.read().splitlines()
@@ -217,7 +206,7 @@ def _vertex(path, ln: int, parts, idx) -> List[float]:
     return xyz
 
 
-def _parse_xyz(lines, path) -> PointCloud:
+def _parse_xyz(lines, path) -> np.ndarray:
     pts = []
     for ln, line in enumerate(lines, start=1):
         s = line.strip()
@@ -227,10 +216,10 @@ def _parse_xyz(lines, path) -> PointCloud:
         if len(parts) < 3:
             raise ParseError(f"{path}:{ln}: expected 3 coordinates, got {len(parts)}")
         pts.append(_vertex(path, ln, parts, (0, 1, 2)))
-    return PointCloud(np.asarray(pts, dtype=np.float64).reshape(-1, 3))
+    return np.asarray(pts, dtype=np.float64).reshape(-1, 3)
 
 
-def _parse_ply(lines, path) -> PointCloud:
+def _parse_ply(lines, path) -> np.ndarray:
     n_vertices = None
     props = []
     header_end = None
@@ -263,18 +252,18 @@ def _parse_ply(lines, path) -> PointCloud:
         if ln > len(lines):
             raise ParseError(f"{path}:{ln}: expected {n_vertices} vertices, file truncated")
         pts.append(_vertex(path, ln, lines[ln - 1].split(), (ix, iy, iz)))
-    return PointCloud(np.asarray(pts, dtype=np.float64).reshape(-1, 3))
+    return np.asarray(pts, dtype=np.float64).reshape(-1, 3)
 
 
-def voxelize(cloud: PointCloud, dims, bounds: GridBounds):
-    """Bin points into a boolean grid.
+def voxelize(points: np.ndarray, dims, bounds: GridBounds):
+    """Bin ``(n, 3)`` points into a boolean grid.
 
     Returns (grid, n_outside): a voxel is occupied iff at least one point
     falls in its half-open cell; points outside the grid extent are only
     counted.
     """
     occ = np.zeros(dims, dtype=bool)
-    q, inside = bounds.cell(cloud.points, dims)
+    q, inside = bounds.cell(points, dims)
     occ[tuple(q[inside].astype(np.int64).T)] = True
     return OccupancyGrid(dims, bounds, occ), int((~inside).sum())
 

@@ -93,8 +93,10 @@ def arc_length(points) -> float:
 def allocate_counts(sub_lengths, total_frames: int) -> Tuple[int, int, int]:
     """Largest-remainder split of the frame budget by arc-length share."""
     lengths = np.asarray(sub_lengths, dtype=np.float64)
-    if len(lengths) != 3 or np.any(lengths < 0) or not np.any(lengths > 0):
-        raise ValueError(f"need 3 non-negative lengths with one positive: {sub_lengths}")
+    if len(lengths) != 3 or np.any(lengths < 0):
+        raise ValueError(f"need 3 non-negative lengths: {sub_lengths}")
+    if not np.any(lengths > 0):
+        raise DegeneratePath(f"every leg has zero length: {sub_lengths}")
     total_frames = int(total_frames)
     shares = lengths / lengths.sum() * total_frames
     counts = np.floor(shares).astype(int)

@@ -14,7 +14,6 @@ from voxpick.scene import (
     GridBounds,
     OccupancyGrid,
     Plane,
-    PointCloud,
     SceneSpec,
     Sphere,
     load_point_cloud,
@@ -28,7 +27,7 @@ def test_xyz_round_trip(tmp_path):
     path = tmp_path / "cloud.xyz"
     path.write_text("".join(f"{x!r} {y!r} {z!r}\n" for x, y, z in pts.tolist()))
     back = load_point_cloud(path)
-    np.testing.assert_array_equal(back.points, pts)
+    np.testing.assert_array_equal(back, pts)
 
 
 def test_xyz_skips_comments_and_blanks(tmp_path):
@@ -60,7 +59,7 @@ def test_ply_parsing(tmp_path):
         "end_header\n0 0 0\n1 2 3\n"
     )
     cloud = load_point_cloud(path)
-    np.testing.assert_array_equal(cloud.points, [[0, 0, 0], [1, 2, 3]])
+    np.testing.assert_array_equal(cloud, [[0, 0, 0], [1, 2, 3]])
 
 
 def test_ply_truncated_vertices(tmp_path):
@@ -102,7 +101,7 @@ def test_ply_bad_vertex_count(tmp_path, count):
 def test_voxelize_half_open_cells():
     bounds = GridBounds((0.0, 0.0, 0.0), 1.0)
     # a point exactly on an interior cell face belongs to the upper cell
-    cloud = PointCloud(np.array([[1.0, 0.5, 0.5], [0.0, 0.0, 0.0]]))
+    cloud = np.array([[1.0, 0.5, 0.5], [0.0, 0.0, 0.0]])
     grid, outside = voxelize(cloud, (2, 2, 2), bounds)
     assert outside == 0
     assert grid.occupied[1, 0, 0] and grid.occupied[0, 0, 0]
@@ -111,7 +110,7 @@ def test_voxelize_half_open_cells():
 
 def test_voxelize_counts_outside_points():
     bounds = GridBounds((0.0, 0.0, 0.0), 1.0)
-    cloud = PointCloud(np.array([[-0.1, 0, 0], [5, 5, 5], [0.5, 0.5, 0.5], [1e300, 0, 0]]))
+    cloud = np.array([[-0.1, 0, 0], [5, 5, 5], [0.5, 0.5, 0.5], [1e300, 0, 0]])
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # no int cast of a cell index past int64
         grid, outside = voxelize(cloud, (2, 2, 2), bounds)
@@ -131,10 +130,10 @@ def test_voxelize_counts_outside_points():
 )
 def test_voxelize_marks_every_inside_point(points):
     bounds = GridBounds((0.0, 0.0, 0.0), 1.0)
-    cloud = PointCloud(np.asarray(points))
+    cloud = np.asarray(points)
     grid, outside = voxelize(cloud, (4, 4, 4), bounds)
     assert outside == 0
-    for p in cloud.points:
+    for p in cloud:
         assert grid.occupied[grid.world_to_grid(p)]
 
 
