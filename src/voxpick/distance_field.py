@@ -12,6 +12,7 @@ boundary cell.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Tuple
@@ -20,8 +21,19 @@ import numpy as np
 
 from .scene import GridBounds, OccupancyGrid
 
-# (dx, dy, dz) offsets of a lattice cell's 8 corners, shape (2, 2, 2, 3)
-_CORNER_OFFSETS = np.stack(np.meshgrid((0, 1), (0, 1), (0, 1), indexing="ij"), axis=-1)
+# A cell's 8 corners (dx, dy, dz) in C order, 000, 001, ..., 111, so the
+# bit of axis i in a corner's index is 4 >> i. Its weights are kept flat,
+# (1 - f, f): side d of axis i weighs w[..., 3 d + i].
+_CORNERS = np.array(list(itertools.product((0, 1), repeat=3)))
+_CORNER_W = 3 * _CORNERS.T + np.arange(3)[:, None]  # (axis, corner)
+# The gradient along an axis sums the 4 corner pairs across it, at sides
+# (a, b) = 00, 10, 01, 11 of its other two axes; per (axis, pair): the a
+# and b weights, and the lower corner (the upper one sets the axis's bit).
+_OTHER = np.array([[1, 2], [0, 2], [0, 1]])
+_SIDES = np.array([(0, 0), (1, 0), (0, 1), (1, 1)])
+_PAIR_W = 3 * _SIDES.T[:, None, :] + _OTHER.T[:, :, None]
+_LOWER = (4 >> _OTHER) @ _SIDES.T
+_UPPER = _LOWER + (4 >> np.arange(3))[:, None]
 # the farthest apart two corners of one lattice cell are, in voxels
 _CELL_DIAGONAL = math.sqrt(3.0)
 
@@ -50,7 +62,17 @@ class DistanceField:
         d = np.asarray(self.distance, dtype=np.float64)
         d.setflags(write=False)
         object.__setattr__(self, "distance", d)
-        object.__setattr__(self, "dims", tuple(int(v) for v in self.dims))
+        dims = tuple(int(v) for v in self.dims)
+        object.__setattr__(self, "dims", dims)
+        # the corner gather's constants: the origin, the clamps of the lattice
+        # coordinate and of the base, the flat strides, and each corner's flat
+        # offset from the base. base + 1 <= hi on an axis of two or more
+        # cells, so only an axis of one cell clamps its upper corner: step 0.
+        hi = np.asarray(dims) - 1
+        strides = np.array([dims[1] * dims[2], dims[2], 1])
+        object.__setattr__(self, "_gather", (
+            np.asarray(self.bounds.min_corner, dtype=np.float64), hi.astype(np.float64),
+            np.maximum(hi - 1, 0), strides, _CORNERS @ np.where(hi > 0, strides, 0)))
 
     @property
     def voxel_size(self) -> float:
@@ -66,40 +88,34 @@ class DistanceField:
     def _corners(self, p):
         """Interpolation weights and corner values of the lattice cell
         enclosing world point(s) ``p`` (shape (..., 3)), clamped to the
-        lattice: ``w[..., axis, k]`` is ``1 - f`` for k = 0 and ``f`` for
-        k = 1, and ``c[..., dx, dy, dz]`` the distance at that corner."""
-        p = np.asarray(p, dtype=np.float64)
-        hi = np.asarray(self.dims) - 1
-        q = np.clip((p - np.asarray(self.bounds.min_corner)) / self.voxel_size - 0.5, 0.0, hi)
-        base = np.clip(np.floor(q).astype(np.int64), 0, np.maximum(hi - 1, 0))
+        lattice: ``w[..., 3 * k + axis]`` is ``1 - f`` for side k = 0 and
+        ``f`` for k = 1, and ``c[..., k]`` the distance at corner
+        ``_CORNERS[k]``. Both clamps on the base stay: floor(NaN) casts to
+        the most negative int64, and clamped it reads a real corner, so a
+        NaN coordinate gives NaN, not an IndexError."""
+        origin, q_hi, base_hi, strides, offsets = self._gather
+        q = (np.asarray(p, dtype=np.float64) - origin) / self.voxel_size - 0.5
+        q = np.minimum(np.maximum(q, 0.0), q_hi)
+        base = np.minimum(np.maximum(np.floor(q).astype(np.int64), 0), base_hi)
         f = q - base
-        idx = np.minimum(base[..., None, None, None, :] + _CORNER_OFFSETS, hi)
-        c = self.distance[idx[..., 0], idx[..., 1], idx[..., 2]]
-        return np.stack([1 - f, f], axis=-1), c
+        c = self.distance.reshape(-1)[(base @ strides)[..., None] + offsets]
+        return np.concatenate([1 - f, f], axis=-1), c
 
     def sample(self, p):
         """Trilinear interpolation of the distance lattice at world
         point(s) ``p`` (shape (..., 3))."""
         w, c = self._corners(p)
-        wxyz = w[..., 0, :, None, None] * w[..., 1, None, :, None] * w[..., 2, None, None, :]
-        terms = (wxyz * c).reshape(c.shape[:-3] + (8,))
-        val = np.zeros(c.shape[:-3], dtype=np.float64)
-        for k in range(8):  # corner order (dx, dy, dz) = 000, 001, ..., 111
-            val += terms[..., k]
-        return val
+        g = w[..., _CORNER_W]  # (..., axis, corner)
+        # summed corner by corner in C order: an accumulate is sequential
+        return np.add.accumulate(g[..., 0, :] * g[..., 1, :] * g[..., 2, :] * c, axis=-1)[..., -1]
 
     def gradient(self, p) -> np.ndarray:
         """Spatial gradient of the trilinear interpolant (per meter),
         piecewise multilinear within each lattice cell."""
         w, c = self._corners(p)
-        g = []
-        for axis in range(3):
-            a, b = (k for k in range(3) if k != axis)
-            # (..., 2, 2) corner differences along ``axis``, indexed by (a, b)
-            diff = np.take(c, 1, axis=axis - 3) - np.take(c, 0, axis=axis - 3)
-            t = (w[..., a, :, None] * w[..., b, None, :]) * diff
-            g.append(t[..., 0, 0] + t[..., 1, 0] + t[..., 0, 1] + t[..., 1, 1])
-        return np.stack(g, axis=-1) / self.voxel_size
+        # (..., axis, pair): the pair's a and b weights times its difference
+        t = w[..., _PAIR_W[0]] * w[..., _PAIR_W[1]] * (c[..., _UPPER] - c[..., _LOWER])
+        return np.add.accumulate(t, axis=-1)[..., -1] / self.voxel_size
 
 
 def _edt_pass(f: np.ndarray, axis: int, band: int) -> np.ndarray:

@@ -40,7 +40,7 @@ import heapq
 from dataclasses import dataclass
 from enum import Enum
 from math import inf, sqrt
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -326,14 +326,18 @@ def plan_segment(
     goal,
     clearance_voxels: int = 1,
     stage: Stage = Stage.APPROACH,
+    free: Optional[np.ndarray] = None,
 ) -> SubTrajectory:
     """Minimal-cost 26-connected path between two cells, as voxel centers;
-    ``NoPath`` also when either cell is occupied."""
+    ``NoPath`` also when either cell is occupied. ``free`` is the grid's
+    free mask at ``clearance_voxels``, when the caller has already
+    inflated it."""
     start = tuple(int(v) for v in start)
     goal = tuple(int(v) for v in goal)
 
     clearance = int(clearance_voxels)
-    free = ~dilate_chebyshev(grid.occupied, clearance)
+    if free is None:
+        free = ~dilate_chebyshev(grid.occupied, clearance)
     if clearance > 0 and (not free[start] or not free[goal]):
         clearance = 0
         free = ~grid.occupied
@@ -366,9 +370,11 @@ def plan_three_stage(
         (Stage.MANIPULATE, cg, ct, grasp, target),
         (Stage.BACK_IDLE, ct, ce, target, effector),
     )
+    # inflated once; a leg whose keypoint it buries falls back on its own
+    free = ~dilate_chebyshev(grid.occupied, int(clearance_voxels))
     subs = []
     for stage, c0, c1, p0, p1 in legs:
-        sub = plan_segment(grid, c0, c1, clearance_voxels, stage=stage)
+        sub = plan_segment(grid, c0, c1, clearance_voxels, stage=stage, free=free)
         pts = np.array(sub.points)
         if len(pts) == 1 and not np.array_equal(p0, p1):
             pts = np.stack([p0, p1])  # distinct keypoints sharing one cell

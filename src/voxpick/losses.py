@@ -37,11 +37,12 @@ def _spanning_triples(legs: Legs, n: int) -> List[int]:
 
 
 def _cross(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Row-wise ``np.cross`` of two (n, 3) arrays, written out by component
-    with numpy's own formula (same bits, without its set-up)."""
-    x0, x1, x2 = x.T
-    y0, y1, y2 = y.T
-    return np.stack([x1 * y2 - x2 * y1, x2 * y0 - x0 * y2, x0 * y1 - x1 * y0], axis=1)
+    """Row-wise ``np.cross`` of two (n, 3) arrays into one buffer, written out
+    by component with numpy's own formula (same bits, without its set-up)."""
+    out = np.empty_like(x)
+    for k, (i, j) in enumerate(((1, 2), (2, 0), (0, 1))):  # x_i y_j - x_j y_i
+        np.subtract(x[:, i] * y[:, j], x[:, j] * y[:, i], out=out[:, k])
+    return out
 
 
 def loss_length(P: np.ndarray, legs: Legs = None) -> Tuple[Value, np.ndarray]:
@@ -84,7 +85,7 @@ def loss_curv(
     spanning = _spanning_triples(legs, len(s))
     s[spanning] = 1.0  # a zero-length junction segment would divide 0 by 0
     c2 = np.einsum("ij,ij->i", c, c)
-    value = _per_leg(lambda x: 0.5 * float(np.sum(x)), c2 / s, legs, 2)
+    value = _per_leg(lambda x: 0.5 * float(x.sum()), c2 / s, legs, 2)
     # dT/dv = (a x c)/s - 3 ||c||^2 ||v||^4 v / s^2 ; dT/da = (c x v)/s
     gv = _cross(a, c) / s[:, None] - (3.0 * c2 * v2**2 / s**2)[:, None] * v
     ga = _cross(c, v) / s[:, None]
@@ -98,10 +99,13 @@ def loss_curv(
 def loss_col(
     P: np.ndarray, field: DistanceField, d_safe: float, legs: Legs = None
 ) -> Tuple[Value, np.ndarray]:
-    """Hinge clearance penalty sum_i 1/2 * max(0, d_safe - d(p_i))^2."""
+    """Hinge clearance penalty sum_i 1/2 * max(0, d_safe - d(p_i))^2; its
+    gradient is taken only at rows where the hinge is active, +0.0 elsewhere."""
     P = np.asarray(P, dtype=np.float64)
     d = field.sample(P)
     viol = np.maximum(d_safe - d, 0.0)
-    value = _per_leg(lambda x: 0.5 * float(np.sum(x)), viol**2, legs, 0)
-    grad = -viol[:, None] * field.gradient(P)
+    value = _per_leg(lambda x: 0.5 * float(x.sum()), viol**2, legs, 0)
+    on = np.flatnonzero(viol > 0.0)
+    grad = np.zeros_like(P)
+    grad[on] = -viol[on, None] * field.gradient(P[on])
     return value, grad

@@ -16,7 +16,9 @@ the input), a collision-free one (L_col = 0, i.e. every waypoint at least
 d_safe from matter) with the lowest objective wins over any violating
 iterate — a smoother path that cuts into the safety margin is not a
 better plan. If no iterate is collision-free, the lowest-objective one is
-returned. Either way the reported objective never increases.
+returned. Either way the reported objective never increases. Each leg
+keeps only its best iterate so far, so memory does not grow with the
+iteration count.
 """
 
 from __future__ import annotations
@@ -132,36 +134,42 @@ def optimize_trajectory(
     legs = list(zip([0] + stops[:-1], stops))
     steps = [(o, e, _inverse_metric(e - o - 2)) for o, e in legs if e - o > 2]
     P = np.concatenate([sub.points for sub in traj.subs], dtype=np.float64)
-    iterates = []  # (per-leg terms, P) of the input, then one per step
+    # a leg without interior waypoints keeps its input, evaluated once
+    moving = [e - o > 2 for o, e in legs]
+    trace, best = [[] for _ in legs], [None] * len(legs)  # per leg: totals, (key, terms, P)
     # a diverging step overflows; it ends in NonFiniteLoss, not a warning
     with np.errstate(all="ignore"):
         for t in range(config.iterations + 1 if steps else 1):
             if t:
-                P = P.copy()  # each iterate keeps its own array
+                P = P.copy()  # a kept iterate keeps its own array
                 for o, e, A_inv in steps:
                     P[o + 1 : e - 1] -= config.learning_rate * (A_inv @ grad[o + 1 : e - 1])
             terms, grad = evaluate_losses(P, field, config, legs)
-            for sub, (o, e), leg_terms in zip(traj.subs, legs, terms):
-                if not (np.isfinite(leg_terms.total) and np.isfinite(grad[o:e]).all()):
-                    msg = f"{sub.stage.value}: objective is non-finite at iteration {t}"
-                    raise NonFiniteLoss(msg, iteration=t)
-            iterates.append((terms, P))
+            if not (np.isfinite([leg.total for leg in terms]).all() and np.isfinite(grad).all()):
+                for sub, (o, e), leg_terms in zip(traj.subs, legs, terms):
+                    if not (np.isfinite(leg_terms.total) and np.isfinite(grad[o:e]).all()):
+                        msg = f"{sub.stage.value}: objective is non-finite at iteration {t}"
+                        raise NonFiniteLoss(msg, iteration=t)
+            if not t:
+                first = terms
+            for k, leg_terms in enumerate(terms):
+                if t and not moving[k]:
+                    continue
+                trace[k].append(leg_terms.total)
+                # a collision-free iterate no worse than the input, else the
+                # lowest total; only a strictly lower key replaces the best, so
+                # the earliest of equals stays. A collision-free iterate tied for
+                # the lowest total is no worse than the input, so it wins the tie.
+                key = (not (leg_terms.col == 0.0 and leg_terms.total <= first[k].total),
+                       leg_terms.total)
+                if not t or key < best[k][0]:
+                    best[k] = (key, leg_terms, P)
 
-    subs, per_before, per_after, trace = [], {}, {}, {}
-    for k, (sub, (o, e)) in enumerate(zip(traj.subs, legs)):
-        # a leg without interior waypoints keeps its input, evaluated once
-        leg = [(terms[k], P) for terms, P in iterates[: len(iterates) if e - o > 2 else 1]]
-        # a collision-free iterate no worse than the input, else the lowest
-        # total; min keeps the earliest of equals. A collision-free iterate
-        # tied for the lowest total is no worse than the input, so it wins
-        # the tie against a colliding one.
-        terms0 = leg[0][0]
-        best_terms, best_P = min(leg, key=lambda it: (
-            not (it[0].col == 0.0 and it[0].total <= terms0.total), it[0].total))
-        subs.append(replace(sub, points=best_P[o:e]))
-        per_before[sub.stage.value] = terms0
-        per_after[sub.stage.value] = best_terms
-        trace[sub.stage.value] = [terms.total for terms, _ in leg]
+    subs, per_before, per_after = [], {}, {}
+    for sub, (o, e), terms0, (_, kept, kept_P) in zip(traj.subs, legs, first, best):
+        subs.append(replace(sub, points=kept_P[o:e]))
+        per_before[sub.stage.value], per_after[sub.stage.value] = terms0, kept
+    trace = {sub.stage.value: totals for sub, totals in zip(traj.subs, trace)}
 
     def _sum(parts: Dict[str, LossTerms]) -> LossTerms:
         return LossTerms(*(sum(values) for values in zip(*map(astuple, parts.values()))))

@@ -48,6 +48,7 @@ BUNDLE_SCHEMA_VERSION = 2  # of the bundle's manifest.json
 MAX_CELLS = 2**24  # 256^3, 8 times the largest grid the benchmark plans (128^3)
 MAX_FRAMES = 2**14  # 68 times the remask benchmark's 241 frames
 MAX_PIXELS = 2**24  # per frame; 54 times the remask benchmark's 640x480
+MAX_ITERATIONS = 2**13  # refiner steps; 41 times the benchmark scenarios' 200
 
 
 @dataclass(frozen=True)
@@ -67,6 +68,9 @@ class Scenario:
     def __post_init__(self):
         if not 6 <= self.total_frames <= MAX_FRAMES:
             raise ParseError(f"frames.total_frames must be in [6, 2**14], got {self.total_frames}")
+        if self.config.iterations > MAX_ITERATIONS:
+            raise ParseError(
+                f"planner.iterations must be at most 2**13, got {self.config.iterations}")
         if self.camera.width * self.camera.height > MAX_PIXELS:
             raise ParseError(f"camera.width_px * camera.height_px exceeds 2**24 pixels: "
                              f"{self.camera.width}x{self.camera.height}")

@@ -212,3 +212,31 @@ def test_sample_and_gradient_match_the_per_corner_reference(rng):
             ):
                 assert got.shape == want.shape
                 assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("axis", range(3))
+def test_a_nan_coordinate_reads_nan_and_does_not_raise(rng, axis):
+    # floor(NaN) casts to the most negative int64; the clamped base must
+    # still read a real corner, so the NaN comes out as a value, not an
+    # IndexError, and a diverging refiner ends in NonFiniteLoss
+    occ = rng.random((5, 7, 3)) < 0.3
+    occ[2, 3, 1] = True
+    fld = _full_edt(_grid(occ))
+    p = np.array([[0.25, 0.35, 0.15], [0.05, 0.65, 0.25]])
+    p[:, axis] = np.nan
+    with np.errstate(invalid="ignore"):
+        val, grad = fld.sample(p), fld.gradient(p)
+        want_val, want_grad = _sample_reference(fld, p), _gradient_reference(fld, p)
+    assert val.shape == (2,) and np.isnan(val).all()
+    # the gradient across the NaN axis reads its weights, so it is NaN there
+    others = [k for k in range(3) if k != axis]
+    assert grad.shape == (2, 3) and np.isnan(grad[:, others]).all()
+    assert np.array_equal(val, want_val, equal_nan=True)
+    assert np.array_equal(grad, want_grad, equal_nan=True)
+
+
+def test_no_points_give_empty_samples_and_gradients():
+    fld = _full_edt(_grid(np.ones((5, 7, 3), bool)))
+    none = np.zeros((0, 3))
+    assert fld.sample(none).shape == (0,)
+    assert fld.gradient(none).shape == (0, 3)

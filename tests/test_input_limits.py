@@ -7,7 +7,13 @@ import pytest
 
 from voxpick.cli import main
 from voxpick.errors import ParseError
-from voxpick.pipeline import MAX_FRAMES, MAX_PIXELS, scenario_from_dict, scenario_to_dict
+from voxpick.pipeline import (
+    MAX_FRAMES,
+    MAX_ITERATIONS,
+    MAX_PIXELS,
+    scenario_from_dict,
+    scenario_to_dict,
+)
 from voxpick.templates import sink_scenario
 
 
@@ -38,6 +44,27 @@ def test_a_clip_at_the_caps_parses():
     d["camera"].update(width_px=4096, height_px=MAX_PIXELS // 4096)
     s = scenario_from_dict(d)
     assert (s.total_frames, s.camera.width * s.camera.height) == (MAX_FRAMES, MAX_PIXELS)
+
+
+@pytest.mark.parametrize("iterations", [MAX_ITERATIONS + 1, 10**12], ids=["over-cap", "1e12"])
+def test_refiner_iterations_over_the_cap_exit_2_with_one_parse_line(tmp_path, capsys, iterations):
+    # refused while parsing: the refiner never starts its loop
+    d = scenario_to_dict(sink_scenario())
+    d["planner"]["iterations"] = iterations
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(d))
+    rc = main(["plan", str(path), "--out", str(tmp_path / "out")])
+    lines = capsys.readouterr().err.splitlines()
+    assert rc == 2
+    assert len(lines) == 1 and lines[0].startswith("error:parse:parse:"), lines
+    assert "planner.iterations" in lines[0]
+    assert not (tmp_path / "out").exists()
+
+
+def test_refiner_iterations_at_the_cap_parse():
+    d = scenario_to_dict(sink_scenario())
+    d["planner"]["iterations"] = MAX_ITERATIONS
+    assert scenario_from_dict(d).config.iterations == MAX_ITERATIONS
 
 
 def test_coincident_keypoints_exit_2_with_one_degenerate_path_line(tmp_path, capsys):

@@ -2,6 +2,7 @@
 pinning, stacking of the three legs."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -147,6 +148,61 @@ def _kept_iterate(monkeypatch, script):
 )
 def test_iterate_choice(monkeypatch, script, kept):
     assert _kept_iterate(monkeypatch, script) == kept
+
+
+@pytest.mark.parametrize(
+    "script, kept",
+    [
+        # two iterates with equal totals: the earlier
+        ([(1.0, 5.0), (1.0, 3.0), (1.0, 3.0), (1.0, 4.0)], 1),
+        # a collision-free iterate beats a colliding one with a lower total
+        ([(1.0, 5.0), (1.0, 1.0), (0.0, 3.0), (1.0, 4.0)], 2),
+    ],
+)
+def test_the_kept_iterate_returns_its_own_points(monkeypatch, script, kept):
+    # every step moves the interior waypoints, so each iterate's points
+    # differ; the returned legs must be the points the kept terms were
+    # evaluated at, not those of a later step
+    seen, calls = [], iter(script)
+
+    def scripted(P, fld, cfg, legs):
+        seen.append(P.copy())
+        col, total = next(calls)
+        leg = LossTerms(col=col, length=0.0, acc=0.0, curv=0.0, total=total)
+        return [leg] * len(legs), np.ones_like(P)
+
+    monkeypatch.setattr(optimizer, "evaluate_losses", scripted)
+    traj = _trajectory()
+    out, report = optimize_trajectory(traj, None, PlannerConfig(iterations=len(script) - 1))
+    assert all(not np.array_equal(a, b) for a, b in zip(seen, seen[1:]))
+    o = 0
+    for sub, after in zip(out.subs, report.per_stage_after.values()):
+        assert (after.col, after.total) == script[kept]
+        np.testing.assert_array_equal(sub.points, seen[kept][o : o + len(sub.points)])
+        o += len(sub.points)
+
+
+def _optimize_peak(traj, fld, iterations):
+    tracemalloc.start()
+    try:
+        optimize_trajectory(traj, fld, PlannerConfig(iterations=iterations))
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_memory_does_not_grow_with_the_iteration_count():
+    # only each leg's best iterate is held, not every iterate: ten times
+    # the steps may grow only the per-leg trace of totals
+    a, b = np.array([0.5, 0.5, 2.5]), np.array([3.5, 3.5, 2.5])
+    legs = [np.linspace(a, b, 120), np.linspace(b, a + 1.0, 120), np.linspace(a + 1.0, a, 120)]
+    for leg in legs:
+        leg[1:-1, 2] += 0.3 * np.sin(np.linspace(0.0, np.pi, len(leg)))[1:-1]
+    stages = (Stage.APPROACH, Stage.MANIPULATE, Stage.BACK_IDLE)
+    traj = Trajectory(subs=tuple(SubTrajectory(s, leg) for s, leg in zip(stages, legs)))
+    fld = _occupied_field()
+    short, long = _optimize_peak(traj, fld, 200), _optimize_peak(traj, fld, 2000)
+    assert long < 2 * short, (short, long)
 
 
 @pytest.mark.parametrize("m", range(1, 41))
