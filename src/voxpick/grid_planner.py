@@ -11,11 +11,22 @@ one blocked voxel on every side and flattened in C order, so a cell is one
 int and the blocked border replaces bounds checks. Open-set ties break on
 lower f, then lower h, then lexicographic cell order (which is flat-index
 order), and a cell keeps the first parent that reached it at its lowest g,
-so equal-cost paths come out the same on every run.
+so equal-cost paths come out the same on every run. ``plan_three_stage``
+pads the inflated mask, and packs it as below, once for its three legs.
 
 Pruning bound: once a search has popped ``_BOUND_AFTER_POPS`` of the
-padded grid's cells, two numpy BFS run from the goal over the padded mask.
-The first counts 26-connected hops; walking down them from the start gives
+padded grid's cells, two numpy BFS run from the goal over a bitboard of
+the padded mask. Each (x, y) row's nz interior cells are packed into
+ceil(nz / 64) little-endian uint64 words, cell z at bit (z - 1) % 64 of
+word (z - 1) // 64, and the rows follow each other x-major as in the
+padded layout. A z step is then a one-bit shift, with a carry into the
+next word of the same row and never into another row; a y step is a
+shift by one row's words and an x step by one x-slab's, which the blocked
+border rows keep from wrapping. A BFS level ORs its front into bit-plane
+k for each bit k set in the level, so memory grows with the log of the
+level count, and the planes are unpacked into the per-cell tables once
+(the hop planes once more, for the walk down below). The first BFS
+counts 26-connected hops; walking down them from the start gives
 the cost U of a feasible path, so U >= the optimal cost C*. The second
 weights each step by its L1 length (1 face, 2 edge, 3 corner) and gives
 G1, the least L1 length of a path to the goal; it stops once the start is
@@ -123,119 +134,222 @@ def dilate_chebyshev(occ: np.ndarray, clearance: int) -> np.ndarray:
 
 # A search builds its pruning bound once it has popped this share of the
 # padded grid's cells. On the 64^3 partition grid (287,496 padded cells,
-# 2-vCPU VM) a build took 14-35 ms, the time of 4,000-10,000 unpruned pops
-# at 3.5 us each, but it cuts a search that climbs the divider about
-# eightfold: over the 24 seed-0 partition legs, a trigger of cells/64 popped
-# 132,607 entries in 0.87 s and this one (1,123 pops) 59,255 in 0.65 s.
-# Searches that end sooner, like every sink leg (34-37 pops), never pay.
-_BOUND_AFTER_POPS = 1 / 256
+# 2-vCPU VM) a bitboard build takes 4.5-12 ms (the bool-mask BFS took
+# 15-41 ms), the time of 1,300-3,500 unpruned pops at 3.5 us each. The 24
+# seed-0 partition legs pop 712,836 entries unpruned; with a trigger of
+# cells/256 (1,123 pops) they popped 59,255, and with this one (281 pops)
+# 38,022. Searches that end sooner, like every sink leg (34-37 pops),
+# never pay.
+_BOUND_AFTER_POPS = 1 / 1024
 
 # every step costs at least (1 - _B) + _B * (its L1 length)
 _B = (sqrt(3) - 1) / 2
 
+_WORD = np.dtype("<u8")  # a bitboard word: a row's z cells 64j..64j+63, low bit first
+# shift amounts as uint64 scalars keep every shift in uint64 under numpy 1.x too
+_ONE, _TOP = np.uint64(1), np.uint64(63)
+
+
+class _Board(np.ndarray):
+    """A free mask prepared once for every search on it (``_prepare``):
+    ``padded`` is the mask padded by one blocked voxel on every side, and
+    ``bits`` that padded mask as a bitboard. It is still the free mask, so
+    whatever searches a mask takes it. An array derived from a board is a
+    plain mask again (its ``bits`` is None)."""
+
+    padded = bits = None
+
+
+def _pack(padded: np.ndarray) -> np.ndarray:
+    """The bitboard of a padded mask: row (x, y) holds its interior cells z
+    = 1..nz in ceil(nz / 64) words, cell z at bit (z - 1) % 64 of word
+    (z - 1) // 64, flattened x-major like the padded layout."""
+    px, py, pz = padded.shape
+    nz = pz - 2
+    out = np.zeros((px, py, -(-nz // 64) * 8), dtype=np.uint8)
+    out[:, :, : -(-nz // 8)] = np.packbits(padded[:, :, 1:-1], axis=2, bitorder="little")
+    return out.view(_WORD).ravel()
+
+
+def _prepare(free: np.ndarray) -> _Board:
+    """``free`` as a ``_Board``, unless it already is one."""
+    if isinstance(free, _Board) and free.bits is not None:
+        return free
+    free = np.asarray(free, dtype=bool)
+    board = free.view(_Board)
+    board.padded = np.pad(free, 1)
+    board.bits = _pack(board.padded)
+    return board
+
 
 def _or_shifted(dst: np.ndarray, src: np.ndarray, d: int) -> None:
-    """``dst |= src`` moved by -d and by +d along the flat layout; the
-    blocked border keeps every shift from wrapping into a free cell."""
+    """``dst |= src`` moved by -d and by +d words: a y step when d is a
+    row's words, an x step when it is a slab's. The blocked border rows
+    keep every shift from wrapping into a free cell."""
     dst[d:] |= src[:-d]
     dst[:-d] |= src[d:]
 
 
-def _hop_bound(padded: np.ndarray, s: int, t: int):
+def _or_z_shifted(dst: np.ndarray, src: np.ndarray, row: int, tmp: np.ndarray) -> None:
+    """``dst |= src`` moved by -1 and by +1 cell along z: a shift of each
+    word by one bit, and for rows of ``row`` > 1 words the carry into the
+    next or last word of the same row, never of another row. A bit shifted
+    onto a word's unused high bits is cleared by the next ``& unseen``."""
+    np.left_shift(src, _ONE, out=tmp)
+    dst |= tmp
+    np.right_shift(src, _ONE, out=tmp)
+    dst |= tmp
+    if row > 1:
+        # the carries, computed over the flat words; a carry into a row's
+        # first or last word came from another row and is dropped
+        np.right_shift(src[:-1], _TOP, out=tmp[1:])
+        tmp[::row] = 0
+        dst |= tmp
+        np.left_shift(src[1:], _TOP, out=tmp[:-1])
+        tmp[row - 1 :: row] = 0
+        dst |= tmp
+
+
+def _mark(planes: list, level: int, cells: np.ndarray, w: slice) -> None:
+    """Write ``level`` for ``cells`` (a bitboard window ``w``) into bit-planes:
+    plane k holds the cells whose level has bit k set."""
+    for k in range(level.bit_length()):
+        if k == len(planes):
+            planes.append(np.zeros_like(planes[0]))
+        if level >> k & 1:
+            planes[k][w] |= cells
+
+
+def _unpack(planes: list, shape) -> np.ndarray:
+    """Each cell's level from its bit-planes, in the flat padded layout (0
+    on the padding and on cells no plane holds), as the least unsigned int
+    that holds every level. Planes 8j..8j+7 fill byte lane j."""
+    px, py, pz = shape
+    lanes = np.zeros((-(-len(planes) // 8), planes[0].size * 64), dtype=np.uint8)
+    for k, plane in enumerate(planes):
+        bit = np.unpackbits(plane.view(np.uint8), bitorder="little")
+        # each cell's 0 or 1 moved to bit k % 8 of its byte by one shift of
+        # whole words, which moves no bit out of its byte
+        lanes[k // 8] |= np.left_shift(bit.view(np.uint64), np.uint64(k % 8)).view(np.uint8)
+    level = lanes[0].astype(np.min_scalar_type((1 << len(planes)) - 1), copy=False)
+    for j in range(1, len(lanes)):
+        level |= lanes[j].astype(level.dtype) << level.dtype.type(8 * j)
+    out = np.zeros(shape, dtype=level.dtype)
+    out[:, :, 1:-1] = level.reshape(px, py, -1)[:, :, : pz - 2]
+    return out.ravel()
+
+
+def _hop_bound(padded: np.ndarray, s: int, t: int, bits: Optional[np.ndarray] = None):
     """The pruning bound of the module docstring from flat cell ``s`` to
     ``t``: (U, hops as a ``bytearray`` saturated at 255, max(G1, hops) as
     a uint16 memoryview saturated at 65535), or ``None`` when ``t`` cannot
-    reach ``s``. The walk down takes the shortest step to a cell one hop
+    reach ``s``. ``bits`` is ``padded``'s bitboard, when the caller has
+    packed it. Both BFS run on the bitboard and keep each cell's level in
+    bit-planes; the hop BFS stores level + 1, so a cell it has not reached
+    reads 0. The walk down takes the shortest step to a cell one hop
     nearer. The hop BFS stops once every count up to U is known; a cell not
     reached by then gets the next count, which exceeds U. Either BFS's
     level L lies within L x-slabs of ``t``, so it works only on the slabs
     within L + 1 (the flat layout is x-major)."""
-    free = padded.ravel()
-    pz = padded.shape[2]
-    sx = padded.shape[1] * pz
+    if bits is None:
+        bits = _pack(padded)
+    px, py, pz = padded.shape
+    sx = py * pz  # cells per x-slab
+    row = bits.size // (px * py)  # words per row
+    slab = py * row  # words per x-slab
     xt = t // sx
 
     def slabs(level):
-        return slice(max(xt - level - 1, 0) * sx, (xt + level + 2) * sx)
+        return slice(max(xt - level - 1, 0) * slab, (xt + level + 2) * slab)
+
+    def word(i):  # a flat cell's word and its bit there
+        r, z = divmod(i - 1, pz)  # its row, and its z counted from 0
+        return r * row + z // 64, np.uint64(1 << z % 64)
 
     # flat moves, shortest step first
     down = sorted(
         ((dx * sx + dy * pz + dz, step) for (dx, dy, dz), step in _NEIGHBORS),
         key=lambda m: m[1],
     )
-    hops = np.full(free.size, -1, dtype=np.int32)  # -1 until reached
-    hops[t] = 0
-    unseen = free.copy()
-    unseen[t] = False
-    front = np.zeros_like(free)
-    front[t] = True
-    a, b = np.zeros_like(free), np.zeros_like(free)
+    (ws, bs), (wt, bt) = word(s), word(t)
+    unseen = bits.copy()
+    unseen[wt] ^= bt
+    front = np.zeros_like(bits)
+    front[wt] = bt
+    a, b, c = np.zeros_like(bits), np.zeros_like(bits), np.zeros_like(bits)
+    planes = [np.zeros_like(bits)]
+    _mark(planes, 1, front, slice(None))  # the goal's level 0, stored + 1
     level, bound = 0, inf
     while level < bound:
         w = slabs(level)
         # the front grown by one voxel, separably along z, y and x
-        src = front[w]
-        for d, dst in ((1, a[w]), (pz, b[w]), (sx, a[w])):
-            np.copyto(dst, src)
-            _or_shifted(dst, src, d)
-            src = dst
-        np.logical_and(src, unseen[w], out=front[w])
-        if not front[w].any():
+        src, p, q = front[w], a[w], b[w]
+        np.copyto(p, src)
+        _or_z_shifted(p, src, row, c[w])
+        np.copyto(q, p)
+        _or_shifted(q, p, row)
+        np.copyto(p, q)
+        _or_shifted(p, q, slab)
+        np.bitwise_and(p, unseen[w], out=src)
+        if not src.any():
             break
-        unseen[w] ^= front[w]
+        unseen[w] ^= src
         level += 1
-        np.copyto(hops[w], level, where=front[w])
-        if bound == inf and hops[s] >= 0:
+        _mark(planes, level + 1, src, w)
+        if bound == inf and front[ws] & bs:
+            code = _unpack(planes, padded.shape)
             i, bound = s, 0.0
             while i != t:
-                want = hops[i] - 1
-                off, step = next(m for m in down if hops[i + m[0]] == want)
+                want = code[i] - 1
+                off, step = next(m for m in down if code[i + m[0]] == want)
                 i += off
                 bound += step
     if bound == inf:
         return None
-    np.copyto(hops, level + 1, where=unseen)
-    hops = hops.clip(0, 255, out=hops).astype(np.uint8)
+    _mark(planes, level + 2, unseen, slice(None))  # the next count, stored + 1
+    hops = _unpack(planes, padded.shape)
+    hops = np.minimum(np.maximum(hops, 1) - 1, 255).astype(np.uint8)
 
     # G1 by Dial's buckets, a ring of 4 as no step is longer than 3; the
     # front's z shifts (p), then its y-and-z (q) and y-or-z (p) shifts,
     # then x, give its face, edge and corner neighbours
-    geo = np.zeros(free.size, dtype=np.uint16)
-    np.copyto(unseen, free)
-    ring = [front, np.zeros_like(free), np.zeros_like(free), np.zeros_like(free)]
-    front.fill(False)
-    front[t] = True
+    np.copyto(unseen, bits)
+    ring = [front, np.zeros_like(bits), np.zeros_like(bits), np.zeros_like(bits)]
+    front.fill(0)
+    front[wt] = bt
+    planes = [np.zeros_like(bits)]
     level = 0
     while True:
         w = slabs(level)
         front, p, q = ring[level % 4][w], a[w], b[w]
         front &= unseen[w]
         unseen[w] ^= front
-        np.copyto(geo[w], min(level, 65535), where=front)
-        if ring[level % 4][s]:
+        _mark(planes, level, front, w)
+        if ring[level % 4][ws] & bs:
             break
-        p.fill(False)
-        _or_shifted(p, front, 1)
-        q.fill(False)
-        _or_shifted(q, p, pz)
-        _or_shifted(p, front, pz)
-        _or_shifted(ring[(level + 3) % 4][w], q, sx)
+        p.fill(0)
+        _or_z_shifted(p, front, row, c[w])
+        q.fill(0)
+        _or_shifted(q, p, row)
+        _or_shifted(p, front, row)
+        _or_shifted(ring[(level + 3) % 4][w], q, slab)
         ring[(level + 2) % 4][w] |= q
-        _or_shifted(ring[(level + 2) % 4][w], p, sx)
+        _or_shifted(ring[(level + 2) % 4][w], p, slab)
         ring[(level + 1) % 4][w] |= p
-        _or_shifted(ring[(level + 1) % 4][w], front, sx)
-        front.fill(False)
+        _or_shifted(ring[(level + 1) % 4][w], front, slab)
+        front.fill(0)
         level += 1
-    np.copyto(geo, min(level, 65535), where=unseen)
+    _mark(planes, level, unseen, slice(None))  # the stop level
+    geo = np.minimum(_unpack(planes, padded.shape), np.uint16(65535)).astype(np.uint16)
     np.maximum(geo, hops, out=geo)
     return bound, bytearray(hops), geo.data
 
 
 def _astar_cells(free: np.ndarray, start, goal):
-    """Deterministic A* over the free mask; returns the cell path and its
-    cost, or ``(None, inf)``, also when either end is blocked. Layout,
-    tie-breaks and the pruning bound as in the module docstring: cell
-    (x, y, z) is the int ``(x+1)*sx + (y+1)*pz + (z+1)``.
+    """Deterministic A* over the free mask (or a ``_Board`` of it); returns
+    the cell path and its cost, or ``(None, inf)``, also when either end is
+    blocked. Layout, tie-breaks and the pruning bound as in the module
+    docstring: cell (x, y, z) is the int ``(x+1)*sx + (y+1)*pz + (z+1)``.
     """
     start = tuple(int(v) for v in start)
     goal = tuple(int(v) for v in goal)
@@ -244,11 +358,10 @@ def _astar_cells(free: np.ndarray, start, goal):
     if start == goal:
         return [start], 0.0
 
-    nx, ny, nz = free.shape
-    pz = nz + 2  # flat stride of y
-    sx = (ny + 2) * pz  # flat stride of x
-    padded = np.zeros((nx + 2, ny + 2, nz + 2), dtype=bool)
-    padded[1:-1, 1:-1, 1:-1] = free
+    board = _prepare(free)
+    padded = board.padded
+    pz = padded.shape[2]  # flat stride of y
+    sx = padded.shape[1] * pz  # flat stride of x
     open_ = bytearray(padded)  # 1 while a cell is free and not closed
     moves = tuple(
         (dx * sx + dy * pz + dz, dx, dy, dz, step, k)
@@ -278,7 +391,7 @@ def _astar_cells(free: np.ndarray, start, goal):
         pops += 1
         if pops > bound_after:
             bound_after = inf
-            bound = _hop_bound(padded, s, t)
+            bound = _hop_bound(padded, s, t, board.bits)
             if bound is None:
                 return None, inf
             lim, hops, geo = bound[0] * (1 + 1e-9), bound[1], bound[2]
@@ -331,7 +444,7 @@ def plan_segment(
     """Minimal-cost 26-connected path between two cells, as voxel centers;
     ``NoPath`` also when either cell is occupied. ``free`` is the grid's
     free mask at ``clearance_voxels``, when the caller has already
-    inflated it."""
+    inflated it (and maybe prepared it with ``_prepare``)."""
     start = tuple(int(v) for v in start)
     goal = tuple(int(v) for v in goal)
 
@@ -370,8 +483,9 @@ def plan_three_stage(
         (Stage.MANIPULATE, cg, ct, grasp, target),
         (Stage.BACK_IDLE, ct, ce, target, effector),
     )
-    # inflated once; a leg whose keypoint it buries falls back on its own
-    free = ~dilate_chebyshev(grid.occupied, int(clearance_voxels))
+    # inflated, padded and packed once; a leg whose keypoint the inflation
+    # buries falls back to the raw mask and prepares that on its own
+    free = _prepare(~dilate_chebyshev(grid.occupied, int(clearance_voxels)))
     subs = []
     for stage, c0, c1, p0, p1 in legs:
         sub = plan_segment(grid, c0, c1, clearance_voxels, stage=stage, free=free)

@@ -194,12 +194,3 @@ def write_pgm(path, image: np.ndarray) -> None:
         fh.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
         fh.write(np.ascontiguousarray(image, dtype=np.uint8).data)
 
-
-def read_pgm(path) -> np.ndarray:
-    with open(path, "rb") as fh:
-        data = fh.read()
-    parts = data.split(b"\n", 3)
-    if parts[0] != b"P5" or len(parts) < 4:
-        raise ValueError(f"{path}: not a binary 8-bit PGM")
-    w, h = (int(v) for v in parts[1].split())
-    return np.frombuffer(parts[3][: w * h], dtype=np.uint8).reshape(h, w)

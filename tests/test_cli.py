@@ -19,8 +19,9 @@ import voxpick
 from voxpick import losses
 from voxpick.cli import main, report_tables
 from voxpick.pipeline import load_scenario, scenario_to_dict
-from voxpick.projection import read_pgm
 from voxpick.templates import sink_scenario
+
+from pgm import read_pgm
 
 
 @pytest.fixture(scope="module")

@@ -3,8 +3,9 @@
 import heapq
 import itertools
 import time
+from collections import deque
 from dataclasses import replace
-from math import inf, sqrt
+from math import ceil, inf, sqrt
 
 import numpy as np
 import pytest
@@ -471,6 +472,88 @@ def test_geodesic_l1_matches_brute_force_dijkstra(rng):
         checked += 1
     assert checked > 20
     assert corner_cuts > 0  # some least paths cut a blocked edge or corner
+
+
+def _hop_counts(free, goal):
+    """26-connected hop counts to ``goal`` by a plain BFS; cells that cannot
+    reach it are absent."""
+    steps = [d for d in itertools.product((-1, 0, 1), repeat=3) if any(d)]
+    dist, queue = {goal: 0}, deque([goal])
+    while queue:
+        cell = queue.popleft()
+        for step in steps:
+            nb = tuple(c + o for c, o in zip(cell, step))
+            if all(0 <= c < n for c, n in zip(nb, free.shape)) and free[nb] and nb not in dist:
+                dist[nb] = dist[cell] + 1
+                queue.append(nb)
+    return dist
+
+
+def _descent_cost(hops, start, goal):
+    """U as ``_hop_bound`` walks it: from the start, the shortest step (the
+    first in ``_NEIGHBORS`` order among equals) to a cell one hop nearer."""
+    down = sorted(_NEIGHBORS, key=lambda m: m[1])
+    cell, cost = start, 0.0
+    while cell != goal:
+        cell, step = next(
+            (nb, step) for nb, step in
+            ((tuple(c + o for c, o in zip(cell, d)), step) for d, step in down)
+            if hops.get(nb) == hops[cell] - 1
+        )
+        cost += step
+    return cost
+
+
+def _assert_bound_matches_brute_force(free, start, goal):
+    """Every value ``_hop_bound`` returns, against plain BFS and Dijkstra;
+    returns whether the goal reaches the start."""
+    padded = np.pad(free, 1)
+    got = _hop_bound(padded, _flat(padded, start), _flat(padded, goal))
+    hops = _hop_counts(free, goal)
+    if start not in hops:
+        assert got is None, (free.shape, start, goal)
+        return False
+    upper, hop_table, geo = got
+    assert upper == _descent_cost(hops, start, goal)
+    assert upper >= dijkstra_cost(free, start, goal) - 1e-12
+    last = min(ceil(upper), max(hops.values()))  # the hop BFS's last level
+    l1 = _l1_lengths(free, goal)
+    stop = l1[start]  # the L1 BFS stops once the start is settled
+    hop_table = np.frombuffer(hop_table, np.uint8).reshape(padded.shape)
+    geo = np.asarray(geo).reshape(padded.shape)
+    for cell in map(tuple, np.argwhere(free)):
+        h = min(hops.get(cell, inf), last + 1, 255)
+        g = l1[cell] if l1.get(cell, inf) <= stop else stop
+        at = tuple(np.add(cell, 1))
+        assert (hop_table[at], geo[at]) == (h, max(min(g, 65535), h)), (free.shape, cell)
+    assert not hop_table[~padded].any() and not geo[~padded].any()
+    return True
+
+
+@pytest.mark.parametrize("nz", [1, 63, 64, 65, 128, 129, 300])
+def test_bitboard_rows_match_brute_force_at_word_boundaries(rng, nz):
+    # a row of nz cells fills ceil(nz / 64) words: these extents put the
+    # last cell of a row just before, at and after a word's top bit, and
+    # 300 gives levels past 255, which take more than 8 bit-planes
+    reached = 0
+    for k in range(4):
+        free = rng.random((2, 3, nz)) >= rng.uniform(0.0, 0.4)
+        cells = np.argwhere(free)
+        if len(cells) < 2:
+            continue
+        start, goal = (tuple(c) for c in cells[rng.choice(len(cells), 2, replace=False)])
+        reached += _assert_bound_matches_brute_force(free, start, goal)
+    assert reached > 0
+    # the last cell of row y = 0 and the first of row y = 1 are neighbours in
+    # the bitboard's word order but not in the grid: a z shift that carried
+    # from one row into the next would join them
+    last, first = (0, 0, nz - 1), (0, 1, 0)
+    for free in (np.ones((1, 2, nz), bool), np.zeros((1, 2, nz), bool)):
+        free[last] = free[first] = True
+        for start, goal in ((last, first), (first, last)):
+            assert _assert_bound_matches_brute_force(free, start, goal) == (
+                free.all() or nz <= 2
+            )
 
 
 def _partition_scenario():

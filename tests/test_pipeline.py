@@ -30,9 +30,11 @@ from voxpick.pipeline import (
     scenario_to_dict,
     write_bundle,
 )
-from voxpick.projection import PALETTE, CameraModel, actor_frames, read_pgm
+from voxpick.projection import PALETTE, CameraModel, actor_frames
 from voxpick.scene import Box, GridBounds, SceneSpec
 from voxpick.templates import TEMPLATES, empty_scenario, make_template, sink_scenario
+
+from pgm import read_pgm
 
 
 def test_scenario_dict_round_trip():

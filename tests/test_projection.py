@@ -21,11 +21,12 @@ from voxpick.projection import (
     look_at,
     project_sphere,
     rasterize_circle,
-    read_pgm,
     render_guidance_masks,
     write_pgm,
 )
 from voxpick.time_alloc import TimedTrajectory
+
+from pgm import read_pgm
 
 
 def _identity_cam(**kw):
