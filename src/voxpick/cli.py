@@ -6,9 +6,9 @@ directory (every run setting lives in that file), ``report``
 summarizes a bundle as tables/CSV, ``masks`` re-renders guidance masks
 from a bundle, and ``check`` runs the oracle self-test harness.
 
-Exit codes: 0 ok, 2 parse/input, 3 no path, 4 optimizer non-finite,
-6 oracle mismatch. Every failure line starts with
-``error:<stage>:<code>``.
+Exit codes: 0 ok, 2 parse/input or an output that cannot be written, 3 no
+path, 4 optimizer non-finite, 6 oracle mismatch. Every failure line starts
+with ``error:<stage>:<code>``.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from .errors import OracleMismatch, VoxpickError
+from .errors import CannotWrite, OracleMismatch, ParseError, VoxpickError
 from .grid_planner import Stage
 from .optimizer import LOSS_KEYS
 from .pipeline import (
@@ -44,6 +44,8 @@ from .scene import Box
 from .selfcheck import run_checks
 from .templates import TEMPLATES, make_template
 from .time_alloc import sine_fit
+
+MAX_CLUTTER = 2**12  # synth's random boxes; 1,024 times the tests' 4
 
 
 def _random_clutter(scenario: Scenario, count: int, seed: int) -> Scenario:
@@ -76,6 +78,8 @@ def _random_clutter(scenario: Scenario, count: int, seed: int) -> Scenario:
 def cmd_synth(args) -> int:
     scenario = make_template(args.template)
     count = _non_negative_int(args.clutter, "--clutter")
+    if count > MAX_CLUTTER:
+        raise ParseError(f"--clutter must be at most 2**12, got {count}")
     seed = _non_negative_int(args.seed, "--seed")
     if count:
         scenario = _random_clutter(scenario, count, seed)
@@ -203,8 +207,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         return args.func(args)
     except VoxpickError as e:
-        print(e.cli_line(), file=sys.stderr)
-        return e.exit_code
+        err = e
+    except OSError as e:  # each read turns its OSError into its own error: this is a write
+        err = CannotWrite(e)
+    print(err.cli_line(), file=sys.stderr)
+    return err.exit_code
 
 
 if __name__ == "__main__":

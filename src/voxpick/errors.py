@@ -61,6 +61,12 @@ class DegeneratePath(VoxpickError):
     exit_code = 2
 
 
+class CannotWrite(VoxpickError):
+    stage = "write"
+    code = "cannot-write"
+    exit_code = 2
+
+
 class CorruptBundle(VoxpickError):
     stage = "report"
     code = "corrupt-bundle"

@@ -3,16 +3,17 @@
 Search runs under 26-connectivity with Euclidean edge costs and an
 admissible straight-line heuristic. Obstacles are inflated by an integer
 Chebyshev clearance before search so initial paths keep away from
-surfaces; if inflation swallows a keypoint the search retries without
-inflation and flags it.
+surfaces. A leg whose start or goal the inflation buries searches the raw
+mask instead, and records clearance 0; there is no retry, so a leg with
+no path on the mask it picked ends in ``NoPath``.
 
 Layout and tie-break contract: the search runs on the free mask padded by
 one blocked voxel on every side and flattened in C order, so a cell is one
 int and the blocked border replaces bounds checks. Open-set ties break on
 lower f, then lower h, then lexicographic cell order (which is flat-index
 order), and a cell keeps the first parent that reached it at its lowest g,
-so equal-cost paths come out the same on every run. ``plan_three_stage``
-pads the inflated mask, and packs it as below, once for its three legs.
+so equal-cost paths come out the same on every run. A plan pads each mask
+it searches, and packs it as below, once for all its legs.
 
 Pruning bound: once a search has popped ``_BOUND_AFTER_POPS`` of the
 padded grid's cells, two numpy BFS run from the goal over a bitboard of
@@ -51,7 +52,7 @@ import heapq
 from dataclasses import dataclass
 from enum import Enum
 from math import inf, sqrt
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -88,9 +89,6 @@ class SubTrajectory:
         pts = np.asarray(self.points, dtype=np.float64).reshape(-1, 3)
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
-
-    def __len__(self) -> int:
-        return len(self.points)
 
 
 @dataclass(frozen=True)
@@ -154,10 +152,7 @@ class _Board(np.ndarray):
     """A free mask prepared once for every search on it (``_prepare``):
     ``padded`` is the mask padded by one blocked voxel on every side, and
     ``bits`` that padded mask as a bitboard. It is still the free mask, so
-    whatever searches a mask takes it. An array derived from a board is a
-    plain mask again (its ``bits`` is None)."""
-
-    padded = bits = None
+    whatever searches a mask takes it."""
 
 
 def _pack(padded: np.ndarray) -> np.ndarray:
@@ -172,9 +167,7 @@ def _pack(padded: np.ndarray) -> np.ndarray:
 
 
 def _prepare(free: np.ndarray) -> _Board:
-    """``free`` as a ``_Board``, unless it already is one."""
-    if isinstance(free, _Board) and free.bits is not None:
-        return free
+    """``free`` as a ``_Board``."""
     free = np.asarray(free, dtype=bool)
     board = free.view(_Board)
     board.padded = np.pad(free, 1)
@@ -239,20 +232,18 @@ def _unpack(planes: list, shape) -> np.ndarray:
     return out.ravel()
 
 
-def _hop_bound(padded: np.ndarray, s: int, t: int, bits: Optional[np.ndarray] = None):
+def _hop_bound(padded: np.ndarray, s: int, t: int, bits: np.ndarray):
     """The pruning bound of the module docstring from flat cell ``s`` to
     ``t``: (U, hops as a ``bytearray`` saturated at 255, max(G1, hops) as
     a uint16 memoryview saturated at 65535), or ``None`` when ``t`` cannot
-    reach ``s``. ``bits`` is ``padded``'s bitboard, when the caller has
-    packed it. Both BFS run on the bitboard and keep each cell's level in
-    bit-planes; the hop BFS stores level + 1, so a cell it has not reached
-    reads 0. The walk down takes the shortest step to a cell one hop
-    nearer. The hop BFS stops once every count up to U is known; a cell not
-    reached by then gets the next count, which exceeds U. Either BFS's
-    level L lies within L x-slabs of ``t``, so it works only on the slabs
-    within L + 1 (the flat layout is x-major)."""
-    if bits is None:
-        bits = _pack(padded)
+    reach ``s``. ``bits`` is ``padded``'s bitboard (``_pack``). Both BFS
+    run on the bitboard and keep each cell's level in bit-planes; the hop
+    BFS stores level + 1, so a cell it has not reached reads 0. The walk
+    down takes the shortest step to a cell one hop nearer. The hop BFS
+    stops once every count up to U is known; a cell not reached by then
+    gets the next count, which exceeds U. Either BFS's level L lies within
+    L x-slabs of ``t``, so it works only on the slabs within L + 1 (the
+    flat layout is x-major)."""
     px, py, pz = padded.shape
     sx = py * pz  # cells per x-slab
     row = bits.size // (px * py)  # words per row
@@ -345,20 +336,19 @@ def _hop_bound(padded: np.ndarray, s: int, t: int, bits: Optional[np.ndarray] = 
     return bound, bytearray(hops), geo.data
 
 
-def _astar_cells(free: np.ndarray, start, goal):
-    """Deterministic A* over the free mask (or a ``_Board`` of it); returns
+def _astar_cells(board: _Board, start, goal):
+    """Deterministic A* over a prepared free mask (``_prepare``); returns
     the cell path and its cost, or ``(None, inf)``, also when either end is
     blocked. Layout, tie-breaks and the pruning bound as in the module
     docstring: cell (x, y, z) is the int ``(x+1)*sx + (y+1)*pz + (z+1)``.
     """
     start = tuple(int(v) for v in start)
     goal = tuple(int(v) for v in goal)
-    if not (free[start] and free[goal]):
+    if not (board[start] and board[goal]):
         return None, inf
     if start == goal:
         return [start], 0.0
 
-    board = _prepare(free)
     padded = board.padded
     pz = padded.shape[2]  # flat stride of y
     sx = padded.shape[1] * pz  # flat stride of x
@@ -433,34 +423,44 @@ def _astar_cells(free: np.ndarray, start, goal):
     return cells, g[t]
 
 
+def _plan_leg(grid: OccupancyGrid, boards: dict, clearance: int, stage: Stage,
+              start, goal, p0, p1) -> SubTrajectory:
+    """One leg from cell ``start`` to ``goal`` on the plan's prepared free
+    masks ``boards``, keyed by clearance: the inflated mask, or the raw one
+    (prepared here, once per plan) when the inflation buries either cell.
+    Its points are the path's voxel centers with the ends moved to the
+    world points ``p0`` and ``p1``; ``NoPath`` also when either cell is
+    occupied."""
+    if clearance > 0 and not (boards[clearance][start] and boards[clearance][goal]):
+        clearance = 0
+        if 0 not in boards:
+            boards[0] = _prepare(~grid.occupied)
+    cells, cost = _astar_cells(boards[clearance], start, goal)
+    if cells is None:
+        raise NoPath(f"{stage.value}: no path from {start} to {goal} at clearance {clearance}")
+    pts = grid.grid_to_world(cells)
+    if len(pts) == 1 and not np.array_equal(p0, p1):
+        pts = np.stack([p0, p1])  # distinct keypoints sharing one cell
+    else:
+        pts[0], pts[-1] = p0, p1
+    return SubTrajectory(stage, pts, float(cost * grid.voxel_size), clearance)
+
+
 def plan_segment(
     grid: OccupancyGrid,
     start,
     goal,
     clearance_voxels: int = 1,
     stage: Stage = Stage.APPROACH,
-    free: Optional[np.ndarray] = None,
 ) -> SubTrajectory:
     """Minimal-cost 26-connected path between two cells, as voxel centers;
-    ``NoPath`` also when either cell is occupied. ``free`` is the grid's
-    free mask at ``clearance_voxels``, when the caller has already
-    inflated it (and maybe prepared it with ``_prepare``)."""
+    ``NoPath`` also when either cell is occupied."""
     start = tuple(int(v) for v in start)
     goal = tuple(int(v) for v in goal)
-
     clearance = int(clearance_voxels)
-    if free is None:
-        free = ~dilate_chebyshev(grid.occupied, clearance)
-    if clearance > 0 and (not free[start] or not free[goal]):
-        clearance = 0
-        free = ~grid.occupied
-    cells, cost = _astar_cells(free, start, goal)
-    if cells is None:
-        raise NoPath(f"{stage.value}: no path from {start} to {goal} at clearance {clearance}")
-    points = np.asarray([grid.grid_to_world(c) for c in cells], dtype=np.float64)
-    return SubTrajectory(
-        stage=stage, points=points, cost=float(cost * grid.voxel_size), clearance_used=clearance
-    )
+    boards = {clearance: _prepare(~dilate_chebyshev(grid.occupied, clearance))}
+    p0, p1 = grid.grid_to_world(start), grid.grid_to_world(goal)
+    return _plan_leg(grid, boards, clearance, stage, start, goal, p0, p1)
 
 
 def plan_three_stage(
@@ -483,21 +483,7 @@ def plan_three_stage(
         (Stage.MANIPULATE, cg, ct, grasp, target),
         (Stage.BACK_IDLE, ct, ce, target, effector),
     )
-    # inflated, padded and packed once; a leg whose keypoint the inflation
-    # buries falls back to the raw mask and prepares that on its own
-    free = _prepare(~dilate_chebyshev(grid.occupied, int(clearance_voxels)))
-    subs = []
-    for stage, c0, c1, p0, p1 in legs:
-        sub = plan_segment(grid, c0, c1, clearance_voxels, stage=stage, free=free)
-        pts = np.array(sub.points)
-        if len(pts) == 1 and not np.array_equal(p0, p1):
-            pts = np.stack([p0, p1])  # distinct keypoints sharing one cell
-        else:
-            pts[0] = p0
-            pts[-1] = p1
-        subs.append(
-            SubTrajectory(
-                stage=stage, points=pts, cost=sub.cost, clearance_used=sub.clearance_used
-            )
-        )
-    return Trajectory(subs=tuple(subs))
+    # inflated, padded and packed once for the three legs
+    clearance = int(clearance_voxels)
+    boards = {clearance: _prepare(~dilate_chebyshev(grid.occupied, clearance))}
+    return Trajectory(subs=tuple(_plan_leg(grid, boards, clearance, *leg) for leg in legs))

@@ -69,10 +69,11 @@ class OccupancyGrid:
         return tuple(int(v) for v in q)
 
     def grid_to_world(self, cell) -> np.ndarray:
-        """World-space center of cell ``cell``."""
+        """World-space center of cell ``cell``, or of each row of an (n, 3)
+        array of cells."""
         c = np.asarray(cell, dtype=np.int64)
         if np.any(c < 0) or np.any(c >= np.asarray(self.dims)):
-            raise OutOfBounds(f"cell {tuple(int(v) for v in c)} out of range {self.dims}")
+            raise OutOfBounds(f"cell {c.tolist()} out of range {self.dims}")
         return self.min_corner + (c + 0.5) * self.voxel_size
 
     def is_free(self, cell) -> bool:

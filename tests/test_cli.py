@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 import voxpick
 from voxpick import losses
-from voxpick.cli import main, report_tables
+from voxpick.cli import MAX_CLUTTER, main, report_tables
 from voxpick.pipeline import load_scenario, scenario_to_dict
 from voxpick.templates import sink_scenario
 
@@ -51,7 +51,9 @@ def test_synth_clutter_is_seeded(tmp_path):
     assert a.read_bytes() != c.read_bytes()
 
 
-@pytest.mark.parametrize("flag, value", [("--seed", "-1"), ("--clutter", "-2")])
+@pytest.mark.parametrize(
+    "flag, value", [("--seed", "-1"), ("--clutter", "-2"), ("--clutter", str(MAX_CLUTTER + 1))]
+)
 def test_synth_rejects_a_negative_seed_or_clutter(tmp_path, capsys, flag, value):
     argv = {"--out": str(tmp_path / "t.json"), "--clutter": "3", "--seed": "0", flag: value}
     rc = main(["synth"] + [a for item in argv.items() for a in item])
@@ -59,6 +61,23 @@ def test_synth_rejects_a_negative_seed_or_clutter(tmp_path, capsys, flag, value)
     assert rc == 2
     assert len(lines) == 1 and lines[0].startswith(f"error:parse:parse: {flag} "), lines
     assert not (tmp_path / "t.json").exists()
+
+
+@pytest.mark.parametrize("command", ["plan", "masks", "synth"])
+def test_an_out_that_cannot_be_written_is_one_error_line(planned, tmp_path, capsys, command):
+    scenario, bundle = planned
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    argv = {
+        "plan": ["plan", str(scenario), "--out", str(taken)],  # NotADirectoryError
+        "masks": ["masks", str(bundle), "--out", str(taken)],  # FileExistsError
+        "synth": ["synth", "--out", str(tmp_path / "missing" / "s.json")],  # FileNotFoundError
+    }[command]
+    capsys.readouterr()
+    rc = main(argv)
+    lines = capsys.readouterr().err.splitlines()
+    assert rc == 2
+    assert len(lines) == 1 and lines[0].startswith("error:write:cannot-write: "), lines
 
 
 def test_plan_missing_scenario_exits_2(tmp_path, capsys):

@@ -19,6 +19,8 @@ from voxpick.grid_planner import (
     Trajectory,
     _astar_cells,
     _hop_bound,
+    _pack,
+    _prepare,
     dilate_chebyshev,
     plan_segment,
     plan_three_stage,
@@ -38,7 +40,7 @@ def test_straight_line_in_free_space():
     grid = _grid(np.zeros((6, 6, 6), bool))
     sub = plan_segment(grid, (0, 0, 0), (5, 0, 0), clearance_voxels=0)
     assert sub.cost == pytest.approx(5.0)
-    assert len(sub) == 6
+    assert len(sub.points) == 6
     np.testing.assert_allclose(sub.points[:, 1:], 0.5)
 
 
@@ -162,7 +164,7 @@ def test_waypoints_emit_junctions_once():
         grid, (0.5, 0.5, 0.5), (4.5, 0.5, 0.5), (4.5, 4.5, 0.5), clearance_voxels=0
     )
     w = traj.waypoints()
-    assert len(w) == sum(len(s) for s in traj.subs) - 2
+    assert len(w) == sum(len(s.points) for s in traj.subs) - 2
     # consecutive duplicates would flag a doubled junction
     assert np.all(np.linalg.norm(np.diff(w, axis=0), axis=1) > 0)
 
@@ -220,7 +222,7 @@ def _astar_reference(free, start, goal):
 
 
 def _assert_same_search(free, start, goal):
-    got = _astar_cells(free, start, goal)
+    got = _astar_cells(_prepare(free), start, goal)
     want = _astar_reference(free, start, goal)
     assert got[0] == want[0], (start, goal)
     assert got[1] == want[1], (start, goal)
@@ -392,7 +394,7 @@ def test_pruned_search_matches_the_unpruned_one(rng, monkeypatch, when):
         share = {"first pop": 0.0, "random pop": rng.integers(1, 200) / cells, "never": inf}
         monkeypatch.setattr(grid_planner, "_BOUND_AFTER_POPS", share[when])
         want = _astar_unpruned(free, start, goal)
-        got = _astar_cells(free, start, goal)
+        got = _astar_cells(_prepare(free), start, goal)
         assert got[0] == want[0], (k, start, goal)
         assert got[1] == want[1], (k, start, goal)
         unreachable += want[0] is None
@@ -408,7 +410,7 @@ def test_hops_and_descent_bound_the_optimal_cost(rng):
         free, start, goal = query
         padded = np.pad(free, 1)
         best = dijkstra_cost(free, start, goal)
-        bound = _hop_bound(padded, _flat(padded, start), _flat(padded, goal))
+        bound = _hop_bound(padded, _flat(padded, start), _flat(padded, goal), _pack(padded))
         if bound is None:
             assert best == inf
             continue
@@ -454,7 +456,7 @@ def test_geodesic_l1_matches_brute_force_dijkstra(rng):
             continue
         free, start, goal = query
         padded = np.pad(free, 1)
-        bound = _hop_bound(padded, _flat(padded, start), _flat(padded, goal))
+        bound = _hop_bound(padded, _flat(padded, start), _flat(padded, goal), _pack(padded))
         if bound is None:
             continue
         _, hops, geo = bound
@@ -508,7 +510,7 @@ def _assert_bound_matches_brute_force(free, start, goal):
     """Every value ``_hop_bound`` returns, against plain BFS and Dijkstra;
     returns whether the goal reaches the start."""
     padded = np.pad(free, 1)
-    got = _hop_bound(padded, _flat(padded, start), _flat(padded, goal))
+    got = _hop_bound(padded, _flat(padded, start), _flat(padded, goal), _pack(padded))
     hops = _hop_counts(free, goal)
     if start not in hops:
         assert got is None, (free.shape, start, goal)
@@ -594,6 +596,22 @@ def test_partition_pops_a_quarter_of_what_the_hop_bound_alone_did(monkeypatch):
     # the three legs popped 47,512 entries with the hop count as the only
     # lower bound; the L1-geodesic bound cuts that to about 5,900
     assert _plan_counted(_partition_scenario(), monkeypatch) < 47_512 / 4
+
+
+def test_a_plan_packs_the_raw_mask_once(monkeypatch):
+    # at clearance 3 the inflation buries the partition's effector, so the
+    # approach and back_idle legs both fall back to the raw mask: one pack
+    # for the inflated mask and one for the raw mask they share
+    scenario = _partition_scenario()
+    grid, _ = build_grid(scenario)
+    spec = scenario.spec
+    packed = []
+    real = grid_planner._pack
+    monkeypatch.setattr(grid_planner, "_pack", lambda *a: packed.append(1) or real(*a))
+    traj = plan_three_stage(grid, spec.effector_start, spec.object_position, spec.place_target,
+                            clearance_voxels=3)
+    assert [s.clearance_used for s in traj.subs] == [0, 3, 0]
+    assert len(packed) == 2
 
 
 def test_sink_legs_never_build_the_bound(monkeypatch):

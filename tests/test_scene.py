@@ -144,6 +144,15 @@ def test_grid_coordinate_round_trip():
         assert grid.world_to_grid(center) == cell
 
 
+def test_grid_to_world_takes_a_batch_of_cells():
+    grid = OccupancyGrid((4, 5, 6), GridBounds((1.0, -2.0, 0.5), 0.25), np.zeros((4, 5, 6), bool))
+    cells = [(0, 0, 0), (3, 4, 5), (1, 2, 3)]
+    want = np.stack([grid.grid_to_world(c) for c in cells])
+    np.testing.assert_array_equal(grid.grid_to_world(cells), want)  # the same bits
+    with pytest.raises(OutOfBounds, match=r"out of range \(4, 5, 6\)"):
+        grid.grid_to_world(cells + [(4, 0, 0)])
+
+
 def test_world_to_grid_out_of_bounds():
     grid = OccupancyGrid((2, 2, 2), GridBounds((0, 0, 0), 1.0), np.zeros((2, 2, 2), bool))
     with pytest.raises(OutOfBounds, match=r"point \(2\.0, 0\.0, 0\.0\) outside"):
