@@ -94,7 +94,9 @@ def _clearance_text(value: float, band: float, fmt=repr) -> str:
 
 
 def cmd_plan(args) -> int:
-    bundle = run(load_scenario(args.scenario))
+    scenario = load_scenario(args.scenario)
+    os.makedirs(args.out, exist_ok=True)  # an --out that cannot be written fails before planning
+    bundle = run(scenario)
     write_bundle(bundle, args.out)
     rep = bundle.loss_report
     print(f"bundle -> {args.out}")
@@ -126,6 +128,8 @@ def cmd_report(args) -> int:
     print(",".join((LOSSES,) + LOSS_KEYS))
     for phase, values in tables[LOSSES]:
         print(phase + "," + ",".join(repr(v) for v in values))
+    for stage, step in tables["stop_iteration"]:
+        print(f"stop_iteration,{stage},{step}")
     band = tables[BAND_KEY]
     print(f"{BAND_KEY},{band!r}")
     print("clearance,stage," + ",".join(CLEARANCE_COLUMNS))

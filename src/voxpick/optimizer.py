@@ -11,18 +11,29 @@ The three legs are stacked into one array, so each iteration evaluates the
 objective once for all of them with the terms across a junction left out;
 each leg steps with its own A^-1 and keeps its own iterate, as if alone.
 
-Iterate selection prefers feasibility: among all iterates seen (including
-the input), a collision-free one (L_col = 0, i.e. every waypoint at least
-d_safe from matter) with the lowest objective wins over any violating
-iterate — a smoother path that cuts into the safety margin is not a
-better plan. If no iterate is collision-free, the lowest-objective one is
-returned. Either way the reported objective never increases. Each leg
-keeps only its best iterate so far, so memory does not grow with the
+A leg stops once its objective has flattened: at the first step t >=
+STOP_WINDOW with T[t - STOP_WINDOW] - T[t] <= STOP_TOL * (T[0] - T[t]),
+where T[t] is the lowest total the leg has reached by step t (CHOMP's
+relative-change stop, Zucker et al. 2013). The lowest total, not the
+latest, because a leg that grazes the clearance hinge bounces in and out
+of it and its total is not monotone; a bounce inside the window would stop
+a leg still making progress. A stopped leg's rows stay fixed while the
+other legs step on, and ``iterations`` is only the cap. The rule reads
+only the totals, so the steps taken never depend on the machine's speed.
+
+Iterate selection prefers feasibility: among the iterates a leg took
+(including the input), a collision-free one (L_col = 0, i.e. every
+waypoint at least d_safe from matter) with the lowest objective wins over
+any violating iterate — a smoother path that cuts into the safety margin
+is not a better plan. If no iterate is collision-free, the lowest-objective
+one is returned. Either way the reported objective never increases. Each
+leg keeps only its best iterate so far, so memory does not grow with the
 iteration count.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import astuple, dataclass, replace
 from typing import Dict, List, Sequence, Tuple
 
@@ -42,7 +53,7 @@ class PlannerConfig:
     w_col: float = 10.0
     d_safe: float = 0.02  # meters; scenarios default to 2 * voxel_size
     learning_rate: float = 0.01  # the covariant step size
-    iterations: int = 200
+    iterations: int = 200  # a cap: each leg stops once it has converged
     eps_curv: float = 1e-6
     clearance_voxels: int = 1
 
@@ -61,6 +72,8 @@ class PlannerConfig:
         if not (np.isfinite(self.eps_curv) and self.eps_curv >= 0):
             raise ValueError(f"eps_curv must be finite and non-negative: {self.eps_curv}")
 
+
+STOP_WINDOW, STOP_TOL = 10, 1e-4  # a leg stops when its window of steps gains this little
 
 LOSS_KEYS = ("col", "len", "acc", "curv", "total")  # LossTerms.as_dict, in field order
 
@@ -83,7 +96,7 @@ class LossReport:
     after: LossTerms
     per_stage_before: Dict[str, LossTerms]
     per_stage_after: Dict[str, LossTerms]
-    trace: Dict[str, List[float]]  # per-iteration totals
+    trace: Dict[str, List[float]]  # per leg: the input's total, then one per step it took
 
     def as_dict(self) -> dict:
         return {
@@ -132,18 +145,22 @@ def optimize_trajectory(
     """
     stops = np.cumsum([len(sub.points) for sub in traj.subs]).tolist()
     legs = list(zip([0] + stops[:-1], stops))
-    steps = [(o, e, _inverse_metric(e - o - 2)) for o, e in legs if e - o > 2]
+    A_invs = [_inverse_metric(e - o - 2) if e - o > 2 else None for o, e in legs]
     P = np.concatenate([sub.points for sub in traj.subs], dtype=np.float64)
     # a leg without interior waypoints keeps its input, evaluated once
-    moving = [e - o > 2 for o, e in legs]
-    trace, best = [[] for _ in legs], [None] * len(legs)  # per leg: totals, (key, terms, P)
+    moving = [A_inv is not None for A_inv in A_invs]
+    # per leg: totals, the lowest total by each of the last STOP_WINDOW + 1
+    # steps, and (key, terms, P) of the best iterate
+    trace, best = [[] for _ in legs], [None] * len(legs)
+    low = [deque(maxlen=STOP_WINDOW + 1) for _ in legs]
     # a diverging step overflows; it ends in NonFiniteLoss, not a warning
     with np.errstate(all="ignore"):
-        for t in range(config.iterations + 1 if steps else 1):
+        for t in range(config.iterations + 1):
             if t:
                 P = P.copy()  # a kept iterate keeps its own array
-                for o, e, A_inv in steps:
-                    P[o + 1 : e - 1] -= config.learning_rate * (A_inv @ grad[o + 1 : e - 1])
+                for (o, e), A_inv, on in zip(legs, A_invs, moving):
+                    if on:
+                        P[o + 1 : e - 1] -= config.learning_rate * (A_inv @ grad[o + 1 : e - 1])
             terms, grad = evaluate_losses(P, field, config, legs)
             if not (np.isfinite([leg.total for leg in terms]).all() and np.isfinite(grad).all()):
                 for sub, (o, e), leg_terms in zip(traj.subs, legs, terms):
@@ -156,6 +173,7 @@ def optimize_trajectory(
                 if t and not moving[k]:
                     continue
                 trace[k].append(leg_terms.total)
+                low[k].append(min(low[k][-1], leg_terms.total) if t else leg_terms.total)
                 # a collision-free iterate no worse than the input, else the
                 # lowest total; only a strictly lower key replaces the best, so
                 # the earliest of equals stays. A collision-free iterate tied for
@@ -164,6 +182,11 @@ def optimize_trajectory(
                        leg_terms.total)
                 if not t or key < best[k][0]:
                     best[k] = (key, leg_terms, P)
+                lowest = low[k][-1]
+                if t >= STOP_WINDOW and low[k][0] - lowest <= STOP_TOL * (trace[k][0] - lowest):
+                    moving[k] = False
+            if not any(moving):
+                break
 
     subs, per_before, per_after = [], {}, {}
     for sub, (o, e), terms0, (_, kept, kept_P) in zip(traj.subs, legs, first, best):

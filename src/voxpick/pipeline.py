@@ -563,9 +563,18 @@ def read_timed(bundle_dir, phase: str) -> TimedTrajectory:
         raise CorruptBundle(f"{path}: {e}") from e
 
 
+def _stop_step(totals) -> int:
+    """The step a leg stopped at: its trace holds the input's total, then
+    one per step."""
+    if not (isinstance(totals, list) and totals):
+        raise ParseError(f"a leg's trace must be a non-empty list, got {type(totals).__name__}")
+    return len(totals) - 1
+
+
 def read_metrics(bundle_dir) -> dict:
-    """The loss totals and clearances of each phase, the clearance band and
-    the arc lengths, as the rows that ``voxpick report`` prints."""
+    """The loss totals and clearances of each phase, each leg's stop step,
+    the clearance band and the arc lengths, as the rows that ``voxpick
+    report`` prints."""
     metrics = _load_json(os.path.join(bundle_dir, _METRICS_FILE), CorruptBundle)
     try:
         clearance = [(phase, stage.value, metrics[_CLEARANCE_KEYS[phase]][stage.value])
@@ -573,6 +582,8 @@ def read_metrics(bundle_dir) -> dict:
         return {
             LOSSES: [(phase, [_finite(metrics[LOSSES][phase][k], k) for k in LOSS_KEYS])
                      for phase in _PHASES],
+            "stop_iteration": [(stage.value, _stop_step(metrics[LOSSES]["trace"][stage.value]))
+                               for stage in STAGE_ORDER],
             BAND_KEY: _finite(metrics[BAND_KEY], BAND_KEY),
             "clearance": [(phase, stage, [_finite(stats[k], k) for k in CLEARANCE_COLUMNS])
                           for phase, stage, stats in clearance],

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import voxpick
-from voxpick import losses
+from voxpick import cli, losses
 from voxpick.cli import MAX_CLUTTER, main, report_tables
 from voxpick.pipeline import load_scenario, scenario_to_dict
 from voxpick.templates import sink_scenario
@@ -80,6 +80,22 @@ def test_an_out_that_cannot_be_written_is_one_error_line(planned, tmp_path, caps
     assert len(lines) == 1 and lines[0].startswith("error:write:cannot-write: "), lines
 
 
+def test_an_unwritable_plan_out_fails_before_planning(planned, tmp_path, capsys, monkeypatch):
+    # --out is made before the pipeline runs, so a file in its place costs
+    # no planning
+    scenario, _ = planned
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    calls = []
+    monkeypatch.setattr(cli, "run", lambda *args: calls.append(args))
+    capsys.readouterr()
+    rc = main(["plan", str(scenario), "--out", str(taken)])
+    lines = capsys.readouterr().err.splitlines()
+    assert rc == 2
+    assert len(lines) == 1 and lines[0].startswith("error:write:"), lines
+    assert calls == []
+
+
 def test_plan_missing_scenario_exits_2(tmp_path, capsys):
     rc = main(["plan", str(tmp_path / "nope.json"), "--out", str(tmp_path / "o")])
     assert rc == 2
@@ -139,6 +155,38 @@ def test_report_tables_and_csv(planned, capsys):
     assert all(initial < 0.05 for _, (initial, _) in tables["sine_fit"])
     (before, after) = (dict(tables["losses"])[k][-1] for k in ("before", "after"))
     assert after <= before
+
+
+def test_report_prints_each_legs_stop_step(planned, capsys):
+    # one row per leg, read from its trace: the input's total, then one per step
+    _, bundle = planned
+    assert main(["report", str(bundle)]) == 0
+    rows = [line.split(",") for line in capsys.readouterr().out.splitlines()
+            if line.startswith("stop_iteration,")]
+    trace = json.loads((bundle / "metrics.json").read_text())["losses"]["trace"]
+    stages = ["approach", "manipulate", "back_idle"]
+    assert rows == [["stop_iteration", s, str(len(trace[s]) - 1)] for s in stages]
+    # every sink leg converges before the cap of 200 steps
+    assert all(0 < int(step) < 200 for *_, step in rows), rows
+
+
+@pytest.mark.parametrize("trace", [[], "12", 3, None, "missing"])
+def test_a_trace_that_is_not_a_list_of_totals_is_a_corrupt_bundle(planned, tmp_path, capsys,
+                                                                  trace):
+    _, bundle = planned
+    tampered = tmp_path / "tampered"
+    shutil.copytree(bundle, tampered)
+    path = tampered / "metrics.json"
+    m = json.loads(path.read_text())
+    if trace == "missing":
+        del m["losses"]["trace"]["manipulate"]
+    else:
+        m["losses"]["trace"]["manipulate"] = trace
+    path.write_text(json.dumps(m))
+    rc = main(["report", str(tampered)])
+    lines = capsys.readouterr().err.splitlines()
+    assert rc == 2
+    assert len(lines) == 1 and lines[0].startswith("error:report:corrupt-bundle:"), lines
 
 
 def _clearance_report(bundle):

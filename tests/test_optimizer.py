@@ -1,6 +1,7 @@
 """Refinement behavior: config validation, iterate selection, endpoint
 pinning, stacking of the three legs."""
 
+import itertools
 import math
 import tracemalloc
 
@@ -182,6 +183,66 @@ def test_the_kept_iterate_returns_its_own_points(monkeypatch, script, kept):
         o += len(sub.points)
 
 
+def _scripted_run(monkeypatch, totals, iterations):
+    """optimize_trajectory on ``_trajectory()`` when leg k's total at step t
+    is ``totals[k](t)``, every iterate colliding; returns the stacked P of
+    each evaluation and the report."""
+    seen = []
+
+    def scripted(P, fld, cfg, legs):
+        t = len(seen)
+        seen.append(P.copy())
+        terms = [LossTerms(col=1.0, length=0.0, acc=0.0, curv=0.0, total=float(f(t)))
+                 for f in totals]
+        return terms, np.ones_like(P)
+
+    monkeypatch.setattr(optimizer, "evaluate_losses", scripted)
+    _, report = optimize_trajectory(_trajectory(), None, PlannerConfig(iterations=iterations))
+    return seen, report
+
+
+def _falling(t):
+    return 1000.0 - t  # gains 10 a window at every step: never flat
+
+
+def _flat_from(step):
+    return lambda t: 10.0 - min(t, step)
+
+
+def test_a_flattened_leg_stops_while_the_others_step_on(monkeypatch):
+    # approach is flat from step 5, so the first window that gains nothing
+    # ends at 5 + STOP_WINDOW; manipulate gains a full window at every step,
+    # and back_idle's totals bounce up every third step while the lowest
+    # keeps falling, so neither stops before the cap
+    def bouncing(t):
+        return 1000.0 - t + (50.0 if t % 3 == 2 else 0.0)
+
+    stop = 5 + optimizer.STOP_WINDOW
+    seen, report = _scripted_run(monkeypatch, [_flat_from(5), _falling, bouncing], 40)
+    assert [len(t) - 1 for t in report.trace.values()] == [stop, 40, 40]
+    assert report.trace["approach"] == [_flat_from(5)(t) for t in range(stop + 1)]
+    assert len(seen) == 41
+    approach, manipulate = slice(0, 3), slice(3, 6)
+    for a, b in zip(seen[stop:], seen[stop + 1:]):
+        assert a[approach].tobytes() == b[approach].tobytes()
+        assert not np.array_equal(a[manipulate], b[manipulate])
+    assert not np.array_equal(seen[stop - 1][approach], seen[stop][approach])
+
+
+def test_totals_that_never_flatten_run_every_iteration(monkeypatch):
+    seen, report = _scripted_run(monkeypatch, [_falling] * 3, 60)
+    assert len(seen) == 61
+    assert all(len(t) == 61 for t in report.trace.values())
+
+
+def test_the_objective_is_evaluated_once_per_step_until_the_last_leg_stops(monkeypatch):
+    flat = (3, 8, 0)
+    seen, report = _scripted_run(monkeypatch, [_flat_from(s) for s in flat], 200)
+    stops = [s + optimizer.STOP_WINDOW for s in flat]
+    assert [len(t) - 1 for t in report.trace.values()] == stops
+    assert len(seen) == max(stops) + 1
+
+
 def _optimize_peak(traj, fld, iterations):
     tracemalloc.start()
     try:
@@ -202,6 +263,26 @@ def test_memory_does_not_grow_with_the_iteration_count():
     traj = Trajectory(subs=tuple(SubTrajectory(s, leg) for s, leg in zip(stages, legs)))
     fld = _occupied_field()
     short, long = _optimize_peak(traj, fld, 200), _optimize_peak(traj, fld, 2000)
+    assert long < 2 * short, (short, long)
+
+
+def test_memory_does_not_grow_on_legs_that_never_converge(monkeypatch):
+    # the same bound when no leg stops, so both runs take every step
+    calls = itertools.count()
+    monkeypatch.setattr(
+        optimizer,
+        "evaluate_losses",
+        lambda P, fld, cfg, legs: (
+            [LossTerms(col=1.0, length=0.0, acc=0.0, curv=0.0, total=_falling(next(calls)))]
+            * len(legs),
+            np.ones_like(P),
+        ),
+    )
+    a, b = np.array([0.5, 0.5, 2.5]), np.array([3.5, 3.5, 2.5])
+    legs = [np.linspace(a, b, 120), np.linspace(b, a, 120), np.linspace(a, b, 120)]
+    stages = (Stage.APPROACH, Stage.MANIPULATE, Stage.BACK_IDLE)
+    traj = Trajectory(subs=tuple(SubTrajectory(s, leg) for s, leg in zip(stages, legs)))
+    short, long = _optimize_peak(traj, None, 200), _optimize_peak(traj, None, 2000)
     assert long < 2 * short, (short, long)
 
 

@@ -217,10 +217,10 @@ def test_endpoint_drift_is_an_error_not_an_assert(monkeypatch):
 
 # sha256 of the sink template's bundle, hashed as perfbench/run.py's
 # tree_digest does; a change that alters any bundle byte must say so
-SINK_BUNDLE_SHA256 = "703b1a7b38740fbe337edf6b701fa734560473247ec4ab6d6948af05dadd6c50"
+SINK_BUNDLE_SHA256 = "5547f68321eda6b9e2cd7042894b2a4deab5b414e5afc43095eea9ee45a9e0d6"
 # the same for the sink with its rim raised into a divider (the partition
 # benchmark's scenario before keypoint jitter)
-PARTITION_BUNDLE_SHA256 = "6c8fcafbeb9f1b9eb27d2bfecea624ea6c4523070b2f134262e59d6a390924bb"
+PARTITION_BUNDLE_SHA256 = "fc57b02e0f828be2bc3d936054a552b51021fb4d5edaf2d99eca165c8023f7a2"
 
 
 def _tree_digest(root):
