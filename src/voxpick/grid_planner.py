@@ -16,34 +16,37 @@ so equal-cost paths come out the same on every run. A plan pads each mask
 it searches, and packs it as below, once for all its legs.
 
 Pruning bound: once a search has popped ``_BOUND_AFTER_POPS`` of the
-padded grid's cells, two numpy BFS run from the goal over a bitboard of
-the padded mask. Each (x, y) row's nz interior cells are packed into
-ceil(nz / 64) little-endian uint64 words, cell z at bit (z - 1) % 64 of
-word (z - 1) // 64, and the rows follow each other x-major as in the
-padded layout. A z step is then a one-bit shift, with a carry into the
-next word of the same row and never into another row; a y step is a
-shift by one row's words and an x step by one x-slab's, which the blocked
-border rows keep from wrapping. A BFS level ORs its front into bit-plane
-k for each bit k set in the level, so memory grows with the log of the
-level count, and the planes are unpacked into the per-cell tables once
-(the hop planes once more, for the walk down below). The first BFS
-counts 26-connected hops; walking down them from the start gives
-the cost U of a feasible path, so U >= the optimal cost C*. The second
-weights each step by its L1 length (1 face, 2 edge, 3 corner) and gives
-G1, the least L1 length of a path to the goal; it stops once the start is
-settled, and a cell not settled by then gets that level, a lower bound on
-its G1. With B = (sqrt(3) - 1)/2 every step costs at least (1 - B) + B *
-(its L1 length), with equality for face and corner steps, so a path of N
-steps and L1 length L costs at least (1 - B) N + B L; as L >= N >= hops
-and L >= G1, a cell's cost to go is at least
+padded grid's cells, one numpy BFS routine (``_levels``) runs twice from
+the goal over a bitboard of the padded mask. Each (x, y) row's nz interior
+cells are packed into ceil(nz / 64) little-endian uint64 words, cell z at
+bit (z - 1) % 64 of word (z - 1) // 64, and the rows follow each other
+x-major as in the padded layout. A z step is then a one-bit shift, with a
+carry into the next word of the same row and never into another row; a y
+step is a shift by one row's words and an x step by one x-slab's, which
+the blocked border rows keep from wrapping. The routine is Dial's buckets
+(Dial, CACM 1969): a face, edge and corner step weigh at most 3 each, so
+a ring of 4 buckets holds every open level. It stops once the level L
+holding the start is settled, and gives every cell not settled by then
+L + 1, a lower bound on its level, as all of level L is settled. A level
+ORs its cells into bit-plane k for each bit k set in level + 1, so a
+blocked cell reads 0 and memory grows with the log of the level count,
+and the planes are unpacked into a per-cell table once. With every step
+weighing 1 the routine counts 26-connected hops; walking down them from
+the start gives the cost U of a feasible path, so U >= the optimal cost
+C*. With each step weighing its L1 length (1 face, 2 edge, 3 corner) it
+gives G1, the least L1 length of a path to the goal. Both tables hold at
+most the true values. With B = (sqrt(3) - 1)/2 every step costs at least
+(1 - B) + B * (its L1 length), with equality for face and corner steps,
+so a path of N steps and L1 length L costs at least (1 - B) N + B L; as
+L >= N >= hops and L >= G1, a cell's cost to go is at least
 lb = (1 - B) hops + B max(G1, hops) >= hops. The search then skips any
 push, and any popped entry, whose g + max(lb, h) exceeds U(1 + 1e-9). A
 cell on an optimal path has g* + lb <= C* <= U, so it is never skipped and
 keeps the key it has without the bound; a skipped cell lies on no optimal
 path and so is never the parent of a path cell. Cells, cost and tie-breaks
 are therefore the same as without the bound; only work is skipped. If the
-hop BFS never reaches the start, the goal cannot be reached and the search
-ends at once.
+hop count never reaches the start, the goal cannot be reached and the
+search ends at once.
 """
 
 from __future__ import annotations
@@ -132,8 +135,8 @@ def dilate_chebyshev(occ: np.ndarray, clearance: int) -> np.ndarray:
 
 # A search builds its pruning bound once it has popped this share of the
 # padded grid's cells. On the 64^3 partition grid (287,496 padded cells,
-# 2-vCPU VM) a bitboard build takes 4.5-12 ms (the bool-mask BFS took
-# 15-41 ms), the time of 1,300-3,500 unpruned pops at 3.5 us each. The 24
+# 2-vCPU VM) a bitboard build takes 3.7-7.0 ms (the bool-mask BFS took
+# 15-41 ms), the time of 1,050-2,000 unpruned pops at 3.5 us each. The 24
 # seed-0 partition legs pop 712,836 entries unpruned; with a trigger of
 # cells/256 (1,123 pops) they popped 59,255, and with this one (281 pops)
 # 38,022. Searches that end sooner, like every sink leg (34-37 pops),
@@ -183,13 +186,12 @@ def _or_shifted(dst: np.ndarray, src: np.ndarray, d: int) -> None:
     dst[:-d] |= src[d:]
 
 
-def _or_z_shifted(dst: np.ndarray, src: np.ndarray, row: int, tmp: np.ndarray) -> None:
-    """``dst |= src`` moved by -1 and by +1 cell along z: a shift of each
+def _z_shifted(dst: np.ndarray, src: np.ndarray, row: int, tmp: np.ndarray) -> None:
+    """``dst = src`` moved by -1 and by +1 cell along z: a shift of each
     word by one bit, and for rows of ``row`` > 1 words the carry into the
     next or last word of the same row, never of another row. A bit shifted
     onto a word's unused high bits is cleared by the next ``& unseen``."""
-    np.left_shift(src, _ONE, out=tmp)
-    dst |= tmp
+    np.left_shift(src, _ONE, out=dst)
     np.right_shift(src, _ONE, out=tmp)
     dst |= tmp
     if row > 1:
@@ -232,106 +234,86 @@ def _unpack(planes: list, shape) -> np.ndarray:
     return out.ravel()
 
 
-def _hop_bound(padded: np.ndarray, s: int, t: int, bits: np.ndarray):
-    """The pruning bound of the module docstring from flat cell ``s`` to
-    ``t``: (U, hops as a ``bytearray`` saturated at 255, max(G1, hops) as
-    a uint16 memoryview saturated at 65535), or ``None`` when ``t`` cannot
-    reach ``s``. ``bits`` is ``padded``'s bitboard (``_pack``). Both BFS
-    run on the bitboard and keep each cell's level in bit-planes; the hop
-    BFS stores level + 1, so a cell it has not reached reads 0. The walk
-    down takes the shortest step to a cell one hop nearer. The hop BFS
-    stops once every count up to U is known; a cell not reached by then
-    gets the next count, which exceeds U. Either BFS's level L lies within
-    L x-slabs of ``t``, so it works only on the slabs within L + 1 (the
-    flat layout is x-major)."""
-    px, py, pz = padded.shape
-    sx = py * pz  # cells per x-slab
+def _levels(bits: np.ndarray, shape, s: int, t: int, weights):
+    """Each free cell's level from flat cell ``t`` by Dial's buckets on
+    ``bits``, the bitboard (``_pack``) of a padded mask of ``shape``, when a
+    face, edge and corner step weigh ``weights`` (each 1 to 3, so a ring of
+    4 buckets holds every level still open). Returns level + 1 per cell in
+    the flat padded layout, 0 off the free cells, or ``None`` when ``t``
+    cannot reach ``s``. It stops once the level L holding ``s`` is
+    settled; a cell not settled by then gets L + 1, a lower bound on its
+    level as all of level L is settled. Level L lies within L x-slabs of
+    ``t``, so it works only on the slabs within L + 1 (the flat layout is
+    x-major)."""
+    px, py, pz = shape
     row = bits.size // (px * py)  # words per row
     slab = py * row  # words per x-slab
-    xt = t // sx
-
-    def slabs(level):
-        return slice(max(xt - level - 1, 0) * slab, (xt + level + 2) * slab)
+    xt = t // (py * pz)
 
     def word(i):  # a flat cell's word and its bit there
         r, z = divmod(i - 1, pz)  # its row, and its z counted from 0
         return r * row + z // 64, np.uint64(1 << z % 64)
 
-    # flat moves, shortest step first
-    down = sorted(
-        ((dx * sx + dy * pz + dz, step) for (dx, dy, dz), step in _NEIGHBORS),
-        key=lambda m: m[1],
-    )
     (ws, bs), (wt, bt) = word(s), word(t)
     unseen = bits.copy()
-    unseen[wt] ^= bt
-    front = np.zeros_like(bits)
-    front[wt] = bt
+    ring = [np.zeros_like(bits) for _ in range(4)]
+    ring[0][wt] = bt
     a, b, c = np.zeros_like(bits), np.zeros_like(bits), np.zeros_like(bits)
-    planes = [np.zeros_like(bits)]
-    _mark(planes, 1, front, slice(None))  # the goal's level 0, stored + 1
-    level, bound = 0, inf
-    while level < bound:
-        w = slabs(level)
-        # the front grown by one voxel, separably along z, y and x
-        src, p, q = front[w], a[w], b[w]
-        np.copyto(p, src)
-        _or_z_shifted(p, src, row, c[w])
-        np.copyto(q, p)
-        _or_shifted(q, p, row)
-        np.copyto(p, q)
-        _or_shifted(p, q, slab)
-        np.bitwise_and(p, unseen[w], out=src)
-        if not src.any():
-            break
-        unseen[w] ^= src
-        level += 1
-        _mark(planes, level + 1, src, w)
-        if bound == inf and front[ws] & bs:
-            code = _unpack(planes, padded.shape)
-            i, bound = s, 0.0
-            while i != t:
-                want = code[i] - 1
-                off, step = next(m for m in down if code[i + m[0]] == want)
-                i += off
-                bound += step
-    if bound == inf:
-        return None
-    _mark(planes, level + 2, unseen, slice(None))  # the next count, stored + 1
-    hops = _unpack(planes, padded.shape)
-    hops = np.minimum(np.maximum(hops, 1) - 1, 255).astype(np.uint8)
-
-    # G1 by Dial's buckets, a ring of 4 as no step is longer than 3; the
-    # front's z shifts (p), then its y-and-z (q) and y-or-z (p) shifts,
-    # then x, give its face, edge and corner neighbours
-    np.copyto(unseen, bits)
-    ring = [front, np.zeros_like(bits), np.zeros_like(bits), np.zeros_like(bits)]
-    front.fill(0)
-    front[wt] = bt
     planes = [np.zeros_like(bits)]
     level = 0
     while True:
-        w = slabs(level)
+        w = slice(max(xt - level - 1, 0) * slab, (xt + level + 2) * slab)
         front, p, q = ring[level % 4][w], a[w], b[w]
-        front &= unseen[w]
+        front &= unseen[w]  # the bucket, less cells settled since it was filled
+        if not front.any() and not any((r[w] & unseen[w]).any() for r in ring):
+            return None
         unseen[w] ^= front
-        _mark(planes, level, front, w)
+        _mark(planes, level + 1, front, w)
         if ring[level % 4][ws] & bs:
             break
-        p.fill(0)
-        _or_z_shifted(p, front, row, c[w])
-        q.fill(0)
-        _or_shifted(q, p, row)
+        # the front's z shifts (p), then its y-and-z (q) and y-or-z (p)
+        # shifts, then x, give its face, edge and corner neighbours; q's
+        # first row, a border row, keeps stale bits, as no shift fills it
+        _z_shifted(p, front, row, c[w])
+        q[row:] = p[:-row]
+        q[:-row] |= p[row:]
         _or_shifted(p, front, row)
-        _or_shifted(ring[(level + 3) % 4][w], q, slab)
-        ring[(level + 2) % 4][w] |= q
-        _or_shifted(ring[(level + 2) % 4][w], p, slab)
-        ring[(level + 1) % 4][w] |= p
-        _or_shifted(ring[(level + 1) % 4][w], front, slab)
-        front.fill(0)
+        face, edge, corner = (ring[(level + k) % 4][w] for k in weights)
+        _or_shifted(corner, q, slab)
+        edge |= q
+        _or_shifted(edge, p, slab)
+        face |= p
+        _or_shifted(face, front, slab)
         level += 1
-    _mark(planes, level, unseen, slice(None))  # the stop level
-    geo = np.minimum(_unpack(planes, padded.shape), np.uint16(65535)).astype(np.uint16)
+    _mark(planes, level + 2, unseen, slice(None))  # L + 1, stored + 1
+    return _unpack(planes, shape)
+
+
+def _hop_bound(padded: np.ndarray, s: int, t: int, bits: np.ndarray):
+    """The pruning bound of the module docstring from flat cell ``s`` to
+    ``t``: (U, hops as a ``bytearray`` saturated at 255, max(G1, hops) as
+    a uint16 memoryview saturated at 65535), or ``None`` when ``t`` cannot
+    reach ``s``. ``bits`` is ``padded``'s bitboard (``_pack``). Hops and
+    G1 are ``_levels`` with steps weighing 1 and their L1 lengths. The walk
+    down takes the shortest step to a cell one hop nearer."""
+    code = _levels(bits, padded.shape, s, t, (1, 1, 1))
+    if code is None:
+        return None
+    pz = padded.shape[2]  # flat stride of y
+    sx = padded.shape[1] * pz  # flat stride of x
+    down = sorted(  # flat moves, shortest step first
+        ((dx * sx + dy * pz + dz, step) for (dx, dy, dz), step in _NEIGHBORS),
+        key=lambda m: m[1],
+    )
+    i, bound = s, 0.0
+    while i != t:
+        want = code[i] - 1
+        off, step = next(m for m in down if code[i + m[0]] == want)
+        i += off
+        bound += step
+    hops = np.minimum(np.maximum(code, 1) - 1, 255).astype(np.uint8)
+    geo = _levels(bits, padded.shape, s, t, (1, 2, 3))
+    geo = np.minimum(np.maximum(geo, 1) - 1, np.uint16(65535)).astype(np.uint16)
     np.maximum(geo, hops, out=geo)
     return bound, bytearray(hops), geo.data
 

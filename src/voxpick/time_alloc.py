@@ -73,10 +73,10 @@ class TimedTrajectory:
 
 def sine_fit(timed: TimedTrajectory, stage: Stage) -> float:
     """Largest |chord speed / the stage's top chord speed - sin(pi (i + 1/2) / n)|
-    over the stage's n chords (nan if it has none); a chord belongs to the
-    stage of its first frame."""
+    over the stage's n chords (nan if it has none, or none that moves); a
+    chord belongs to the stage of its first frame."""
     s = timed.speeds()[[st is stage for st in timed.stages[:-1]]]
-    if not len(s):
+    if not len(s) or not s.max() > 0:
         return float("nan")
     target = np.sin(np.pi * (np.arange(len(s)) + 0.5) / len(s))
     return float(np.abs(s / s.max() - target).max())

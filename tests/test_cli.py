@@ -170,6 +170,29 @@ def test_report_prints_each_legs_stop_step(planned, capsys):
     assert all(0 < int(step) < 200 for *_, step in rows), rows
 
 
+def test_report_on_a_stage_that_never_moves_prints_nan_without_a_warning(planned, tmp_path,
+                                                                          capsys):
+    # every approach frame sits at the first manipulate position, so each
+    # approach chord has zero length and there is no top speed to divide by
+    _, bundle = planned
+    still = tmp_path / "still"
+    shutil.copytree(bundle, still)
+    for phase in ("initial", "optimized"):
+        path = still / f"trajectory_{phase}.jsonl"
+        recs = [json.loads(line) for line in path.read_text().splitlines()]
+        first = next(r for r in recs if r["stage"] == "manipulate")
+        for r in recs:
+            if r["stage"] == "approach":
+                r.update((key, first[key]) for key in ("x_m", "y_m", "z_m"))
+        path.write_text("".join(json.dumps(r) + "\n" for r in recs))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["report", str(still)])
+    captured = capsys.readouterr()
+    assert (rc, captured.err) == (0, "")
+    assert "\nsine_fit,approach,nan,nan\n" in captured.out
+
+
 @pytest.mark.parametrize("trace", [[], "12", 3, None, "missing"])
 def test_a_trace_that_is_not_a_list_of_totals_is_a_corrupt_bundle(planned, tmp_path, capsys,
                                                                   trace):

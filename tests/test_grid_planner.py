@@ -5,7 +5,7 @@ import itertools
 import time
 from collections import deque
 from dataclasses import replace
-from math import ceil, inf, sqrt
+from math import inf, sqrt
 
 import numpy as np
 import pytest
@@ -448,10 +448,23 @@ def _l1_lengths(free, goal, faces_only=False):
     return dist
 
 
+def _one_kind_of_step(n):
+    """(free, start, goal) on a (2, 2, ``n``) grid whose free cells form one
+    chain of corner steps, or of edge steps, from either end: the buckets
+    of levels 1 and 2 (corner) or of level 1 (edge) start empty, as do
+    those between the chain's levels."""
+    for dy in (1, 0):
+        cells = [(i % 2, dy * (i % 2), i) for i in range(n)]
+        free = np.zeros((2, 2, n), bool)
+        free[tuple(np.transpose(cells))] = True
+        yield free, cells[0], cells[-1]
+        yield free, cells[-1], cells[0]
+
+
 def test_geodesic_l1_matches_brute_force_dijkstra(rng):
     checked = corner_cuts = 0
-    for k in range(60):
-        query = _random_query(rng, max_side=8)
+    queries = [_random_query(rng, max_side=8) for _ in range(60)] + list(_one_kind_of_step(8))
+    for k, query in enumerate(queries):
         if query is None:
             continue
         free, start, goal = query
@@ -468,8 +481,8 @@ def test_geodesic_l1_matches_brute_force_dijkstra(rng):
             i = _flat(padded, cell)
             if want.get(cell, inf) <= stop:
                 assert geo[i] == want[cell] >= hops[i], (k, cell)
-            else:  # not settled: the stop level, or the hop count if larger
-                assert geo[i] == max(stop, hops[i]) <= want.get(cell, inf), (k, cell)
+            else:  # not settled: the stop level + 1, or the hop count if larger
+                assert geo[i] == max(stop + 1, hops[i]) <= want.get(cell, inf), (k, cell)
             corner_cuts += want.get(cell, inf) < faces.get(cell, inf)
         checked += 1
     assert checked > 20
@@ -518,14 +531,14 @@ def _assert_bound_matches_brute_force(free, start, goal):
     upper, hop_table, geo = got
     assert upper == _descent_cost(hops, start, goal)
     assert upper >= dijkstra_cost(free, start, goal) - 1e-12
-    last = min(ceil(upper), max(hops.values()))  # the hop BFS's last level
+    last = hops[start]  # the hop BFS stops once the start is settled
     l1 = _l1_lengths(free, goal)
     stop = l1[start]  # the L1 BFS stops once the start is settled
     hop_table = np.frombuffer(hop_table, np.uint8).reshape(padded.shape)
     geo = np.asarray(geo).reshape(padded.shape)
     for cell in map(tuple, np.argwhere(free)):
         h = min(hops.get(cell, inf), last + 1, 255)
-        g = l1[cell] if l1.get(cell, inf) <= stop else stop
+        g = l1[cell] if l1.get(cell, inf) <= stop else stop + 1
         at = tuple(np.add(cell, 1))
         assert (hop_table[at], geo[at]) == (h, max(min(g, 65535), h)), (free.shape, cell)
     assert not hop_table[~padded].any() and not geo[~padded].any()
@@ -556,6 +569,9 @@ def test_bitboard_rows_match_brute_force_at_word_boundaries(rng, nz):
             assert _assert_bound_matches_brute_force(free, start, goal) == (
                 free.all() or nz <= 2
             )
+    if nz > 1:
+        for free, start, goal in _one_kind_of_step(nz):
+            assert _assert_bound_matches_brute_force(free, start, goal)
 
 
 def _partition_scenario():
